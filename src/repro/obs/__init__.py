@@ -45,7 +45,6 @@ from repro.obs.tracer import (
     render_span_tree,
     span,
 )
-from repro.obs.util import recursion_limit
 
 __all__ = [
     "JsonLinesSink",
@@ -59,7 +58,6 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "metrics",
-    "recursion_limit",
     "render_span_tree",
     "span",
 ]

@@ -33,7 +33,9 @@ when the host offers at least two schedulable cores, a parallel leg at
 ``jobs >= 2`` (with no more jobs than cores) to beat serial outright.
 On smaller hosts the parallel verdict is not silently passed but
 explicitly recorded as ``skipped (insufficient cores)``: time-slicing
-two workers on one core measures overhead, not scaling.  CI runs
+two workers on one core measures overhead, not scaling.  A serial
+phase too short to amortize worker start-up is likewise recorded as
+``skipped (workload below floor)``.  CI runs
 ``chortle bench-perf --quick --gate`` on every push; the committed
 ``BENCH_perf.json`` at the repository root is a full-suite run.
 
@@ -84,6 +86,11 @@ DEFAULT_WARM_TOLERANCE = 0.20
 #: millisecond-scale runs (a single tiny cell) don't fail the gate on
 #: scheduler jitter alone.  Negligible against real suite wall clocks.
 _WARM_NOISE_FLOOR = 0.05
+
+#: Serial seconds below which the parallel verdict is skipped: on a
+#: workload this small, worker start-up decides the race, so a measured
+#: speedup says nothing about scaling.
+_PARALLEL_MIN_SERIAL_S = 1.0
 
 
 def _run_phase(
@@ -190,8 +197,19 @@ def _parallel_gate(
     least ``jobs`` schedulable cores — with fewer cores the workers
     time-slice and a speedup below 1.0x is the expected outcome, so the
     verdict is downgraded to ``skipped (insufficient cores)`` instead of
-    silently passing (or spuriously failing) the gate.
+    silently passing (or spuriously failing) the gate.  A
+    ``serial_uncached`` phase shorter than :data:`_PARALLEL_MIN_SERIAL_S`
+    is likewise ``skipped (workload below floor)``.
     """
+    serial = phases.get("serial_uncached", {}).get("seconds")
+    if serial is not None and serial < _PARALLEL_MIN_SERIAL_S:
+        return {
+            "status": "skipped (workload below floor)",
+            "affinity": affinity,
+            "serial_seconds": serial,
+            "floor_seconds": _PARALLEL_MIN_SERIAL_S,
+            "ok": None,
+        }
     legs = {}
     for name, record in phases.items():
         jobs = int(record.get("jobs", 1) or 1)

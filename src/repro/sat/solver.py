@@ -1,8 +1,8 @@
 """A small CDCL SAT solver: watched literals, first-UIP learning, restarts.
 
-Literals use the DIMACS convention — variable ``v`` is the positive
-literal ``v`` and its negation is ``-v``; variables are allocated
-densely from 1 via :meth:`CdclSolver.new_var`.  The solver is
+The public interface uses the DIMACS convention — variable ``v`` is the
+positive literal ``v`` and its negation is ``-v``; variables are
+allocated densely from 1 via :meth:`CdclSolver.new_var`.  The solver is
 incremental: clauses may be added between :meth:`CdclSolver.solve`
 calls, and each call takes an optional assumption list, so one miter
 encoding serves every output port of an equivalence check while learned
@@ -13,11 +13,23 @@ propagation, first-UIP conflict analysis with non-recursive clause
 minimization, VSIDS branching with phase saving, and Luby restarts —
 kept deliberately compact: the instances this repository solves are
 mapping miters of a few thousand clauses, not competition benchmarks.
+
+Internally every literal is a *code*: ``v`` is ``2v`` and ``-v`` is
+``2v + 1``, so negation is ``c ^ 1`` and the variable is ``c >> 1``.
+Clauses, watch lists, the trail and the value array all hold codes;
+DIMACS literals are converted only at the API boundary.
+
+The VSIDS heap stores each distinct ``(-activity, var)`` entry once and
+counts in ``_heap_copies`` how many copies of it the textbook heap (one
+push per bump and per unassignment) would hold.  Identical tuples are
+interchangeable in pop order, so branching — and with it the whole
+search — is exactly that of the textbook heap, activity rescales
+included, without its churn of stale duplicates.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SatError
@@ -66,11 +78,6 @@ class SolverStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def _widx(lit: int) -> int:
-    """Watch-list index of a literal: 2v for v, 2v+1 for -v."""
-    return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-
 class CdclSolver:
     """Conflict-driven clause learning over a growable variable set."""
 
@@ -80,19 +87,22 @@ class CdclSolver:
         self._num_vars = 0
         self._clauses: List[List[int]] = []
         self._num_problem_clauses = 0
-        # Indexed by variable: +1 true, -1 false, 0 unassigned.
-        self._values: List[int] = [0]
+        # Indexed by literal code: +1 true, -1 false, 0 unassigned.
+        self._values: List[int] = [0, 0]
+        # Indexed by variable.  A reason is only meaningful while its
+        # variable is assigned; the saved phase is a literal code.
         self._levels: List[int] = [0]
         self._reasons: List[Optional[int]] = [None]
         self._activity: List[float] = [0.0]
-        self._phase: List[bool] = [False]
+        self._phase: List[int] = [1]
         self._seen = bytearray(1)
-        # Indexed by _widx(lit): clause indices watching that literal.
+        # Indexed by literal code: clause indices watching that literal.
         self._watches: List[List[int]] = [[], []]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
         self._heap: List[Tuple[float, int]] = []
+        self._heap_copies: Dict[Tuple[float, int], int] = {}
         self._var_inc = 1.0
         self._model: List[int] = []
 
@@ -113,26 +123,30 @@ class CdclSolver:
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its positive literal."""
         self._num_vars += 1
-        self._values.append(0)
+        var = self._num_vars
+        self._values += (0, 0)
         self._levels.append(0)
         self._reasons.append(None)
         self._activity.append(0.0)
-        self._phase.append(False)
+        self._phase.append((var << 1) | 1)  # first branch: negative
         self._seen.append(0)
         self._watches.append([])
         self._watches.append([])
-        heapq.heappush(self._heap, (0.0, self._num_vars))
-        return self._num_vars
+        entry = (0.0, var)
+        self._heap_copies[entry] = 1
+        heappush(self._heap, entry)
+        return var
 
-    def _check_lit(self, lit: int) -> int:
-        if not isinstance(lit, int) or lit == 0:
+    def _code(self, lit: int) -> int:
+        """The internal code of a DIMACS literal, after validating it."""
+        if isinstance(lit, bool) or not isinstance(lit, int) or lit == 0:
             raise SatError("literals must be non-zero ints, got %r" % (lit,))
         if abs(lit) > self._num_vars:
             raise SatError(
                 "literal %d references variable beyond %d allocated"
                 % (lit, self._num_vars)
             )
-        return lit
+        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became unsatisfiable.
@@ -145,26 +159,27 @@ class CdclSolver:
         if not self.ok:
             return False
         self._backtrack(0)
+        values = self._values
         seen = set()
         out: List[int] = []
         for raw in lits:
-            lit = self._check_lit(raw)
-            if -lit in seen:
+            code = self._code(raw)
+            if code ^ 1 in seen:
                 return True  # tautology
-            if lit in seen:
+            if code in seen:
                 continue
-            val = self._lit_value(lit)
+            val = values[code]
             if val > 0:
                 return True  # already true at level 0
             if val < 0:
                 continue  # already false at level 0: drop the literal
-            seen.add(lit)
-            out.append(lit)
+            seen.add(code)
+            out.append(code)
         if not out:
             self.ok = False
             return False
         if len(out) == 1:
-            self._enqueue(out[0], None)
+            self._assign(out[0], None)
             if self._propagate() is not None:
                 self.ok = False
                 return False
@@ -172,41 +187,52 @@ class CdclSolver:
         ci = len(self._clauses)
         self._clauses.append(out)
         self._num_problem_clauses += 1
-        self._watches[_widx(out[0])].append(ci)
-        self._watches[_widx(out[1])].append(ci)
+        self._watches[out[0]].append(ci)
+        self._watches[out[1]].append(ci)
         return True
 
     # -- assignment plumbing ----------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        """+1 when the literal is true, -1 false, 0 unassigned."""
-        val = self._values[abs(lit)]
-        return val if lit > 0 else -val
+    def _assign(self, code: int, reason: Optional[int]) -> None:
+        """Make ``code`` true at the current decision level.
 
-    @property
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _enqueue(self, lit: int, reason: Optional[int]) -> None:
-        var = abs(lit)
-        self._values[var] = 1 if lit > 0 else -1
-        self._levels[var] = self._decision_level
+        The hot loops inline this; it serves the cold paths.
+        """
+        self._values[code] = 1
+        self._values[code ^ 1] = -1
+        var = code >> 1
+        self._levels[var] = len(self._trail_lim)
         self._reasons[var] = reason
-        self._trail.append(lit)
+        self._trail.append(code)
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        mark = self._trail_lim[level]
-        for lit in reversed(self._trail[mark:]):
-            var = abs(lit)
-            self._phase[var] = lit > 0
-            self._values[var] = 0
-            self._reasons[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[mark:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        mark = trail_lim[level]
+        trail = self._trail
+        values = self._values
+        phase = self._phase
+        activity = self._activity
+        heap = self._heap
+        copies = self._heap_copies
+        for code in trail[mark:]:
+            var = code >> 1
+            values[code] = 0
+            values[code ^ 1] = 0
+            phase[var] = code
+            # The textbook heap pushes (-activity, var) here; count the
+            # copy instead when an identical entry is already queued.
+            entry = (-activity[var], var)
+            count = copies.get(entry)
+            if count:
+                copies[entry] = count + 1
+            else:
+                copies[entry] = 1
+                heappush(heap, entry)
+        del trail[mark:]
+        del trail_lim[level:]
+        self._qhead = mark
 
     # -- propagation -------------------------------------------------------
 
@@ -214,140 +240,188 @@ class CdclSolver:
         """Unit propagation; returns a conflicting clause index or None."""
         clauses = self._clauses
         values = self._values
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            neg = -lit
-            watchers = self._watches[_widx(neg)]
-            i = j = 0
-            count = len(watchers)
-            while i < count:
-                ci = watchers[i]
-                i += 1
+        levels = self._levels
+        reasons = self._reasons
+        watches = self._watches
+        trail = self._trail
+        level = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            # Rebuild the watch list in order: a clause stays unless its
+            # watch moves to a non-false literal.
+            pending = iter(watches[false_lit])
+            kept: List[int] = []
+            watches[false_lit] = kept
+            keep = kept.append
+            for ci in pending:
                 clause = clauses[ci]
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                fval = values[abs(first)]
-                if (fval if first > 0 else -fval) > 0:
-                    watchers[j] = ci
-                    j += 1
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if values[first] > 0:
+                    keep(ci)
                     continue
-                for k in range(2, len(clause)):
+                k = 2
+                n = len(clause)
+                while k < n:
                     other = clause[k]
-                    oval = values[abs(other)]
-                    if (oval if other > 0 else -oval) >= 0:
-                        clause[1], clause[k] = other, clause[1]
-                        self._watches[_widx(other)].append(ci)
+                    if values[other] >= 0:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other].append(ci)
                         break
+                    k += 1
                 else:
-                    watchers[j] = ci
-                    j += 1
-                    if (fval if first > 0 else -fval) < 0:
-                        while i < count:  # keep the unvisited watchers
-                            watchers[j] = watchers[i]
-                            j += 1
-                            i += 1
-                        del watchers[j:]
-                        self._qhead = len(self._trail)
+                    keep(ci)
+                    if values[first] < 0:
+                        kept.extend(pending)  # keep the unvisited watchers
+                        self.stats.propagations += qhead - start
+                        self._qhead = len(trail)
                         return ci
-                    self._enqueue(first, ci)
-            del watchers[j:]
+                    values[first] = 1
+                    values[first ^ 1] = -1
+                    var = first >> 1
+                    levels[var] = level
+                    reasons[var] = ci
+                    trail.append(first)
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > _RESCALE_LIMIT:
-            inv = 1.0 / _RESCALE_LIMIT
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= inv
-            self._var_inc *= inv
-        heapq.heappush(self._heap, (-self._activity[var], var))
+    def _rescale(self) -> None:
+        """Shrink every activity; queued heap keys keep their old values."""
+        inv = 1.0 / _RESCALE_LIMIT
+        activity = self._activity
+        for v in range(1, self._num_vars + 1):
+            activity[v] *= inv
+        self._var_inc *= inv
 
     def _analyze(self, confl: int) -> Tuple[List[int], int]:
-        """First-UIP learned clause and its backjump level."""
+        """First-UIP learned clause and its backjump level.
+
+        Every variable met is bumped: its activity grows by the current
+        increment and a fresh heap entry is queued for it.
+        """
         learnt: List[int] = [0]  # slot 0 becomes the asserting literal
+        clauses = self._clauses
         seen = self._seen
         levels = self._levels
+        reasons = self._reasons
+        trail = self._trail
+        activity = self._activity
+        heap = self._heap
+        copies = self._heap_copies
+        var_inc = self._var_inc
+        limit = _RESCALE_LIMIT
+        level = len(self._trail_lim)
         counter = 0
-        p_lit = 0  # 0 on the first round: take every conflict literal
-        index = len(self._trail) - 1
-        clause = self._clauses[confl]
+        p = -1  # no literal yet: take every conflict literal
+        index = len(trail) - 1
+        clause = clauses[confl]
         while True:
-            for lit in clause:
-                if lit == p_lit:
+            for code in clause:
+                if code == p:
                     continue
-                var = abs(lit)
+                var = code >> 1
                 if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump(var)
-                    if levels[var] >= self._decision_level:
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > limit:
+                        self._rescale()
+                        act = activity[var]
+                        var_inc = self._var_inc
+                    entry = (-act, var)
+                    count = copies.get(entry)
+                    if count:
+                        copies[entry] = count + 1
+                    else:
+                        copies[entry] = 1
+                        heappush(heap, entry)
+                    if levels[var] >= level:
                         counter += 1
                     else:
-                        learnt.append(lit)
-            while not seen[abs(self._trail[index])]:
+                        learnt.append(code)
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            assigned = self._trail[index]
+            p = trail[index]
             index -= 1
             counter -= 1
-            seen[abs(assigned)] = 0
+            seen[p >> 1] = 0
             if counter == 0:
-                learnt[0] = -assigned
+                learnt[0] = p ^ 1
                 break
-            reason = self._reasons[abs(assigned)]
+            reason = reasons[p >> 1]
             assert reason is not None
-            clause = self._clauses[reason]
-            p_lit = assigned
+            clause = clauses[reason]
 
         # Non-recursive minimization: a kept literal is redundant when
         # its reason clause is entirely inside the learned clause.
         kept = [learnt[0]]
-        for lit in learnt[1:]:
-            reason = self._reasons[abs(lit)]
+        for code in learnt[1:]:
+            reason = reasons[code >> 1]
             if reason is None:
-                kept.append(lit)
+                kept.append(code)
                 continue
-            for other in self._clauses[reason]:
-                var = abs(other)
-                if other != -lit and not seen[var] and levels[var] > 0:
-                    kept.append(lit)
+            true_lit = code ^ 1
+            for other in clauses[reason]:
+                var = other >> 1
+                if other != true_lit and not seen[var] and levels[var] > 0:
+                    kept.append(code)
                     break
-        for lit in learnt[1:]:
-            seen[abs(lit)] = 0
+        for code in learnt[1:]:
+            seen[code >> 1] = 0
 
         if len(kept) == 1:
             return kept, 0
         # Move the deepest remaining literal to the watch slot.
         widest = 1
         for k in range(2, len(kept)):
-            if levels[abs(kept[k])] > levels[abs(kept[widest])]:
+            if levels[kept[k] >> 1] > levels[kept[widest] >> 1]:
                 widest = k
         kept[1], kept[widest] = kept[widest], kept[1]
-        return kept, levels[abs(kept[1])]
+        return kept, levels[kept[1] >> 1]
 
     def _learn(self, learnt: List[int]) -> None:
         self.stats.learned += 1
         if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
+            self._assign(learnt[0], None)
             return
         ci = len(self._clauses)
         self._clauses.append(learnt)
-        self._watches[_widx(learnt[0])].append(ci)
-        self._watches[_widx(learnt[1])].append(ci)
-        self._enqueue(learnt[0], ci)
+        self._watches[learnt[0]].append(ci)
+        self._watches[learnt[1]].append(ci)
+        self._assign(learnt[0], ci)
 
     # -- branching ---------------------------------------------------------
 
-    def _pick_branch(self) -> Optional[int]:
+    def _pick_branch(self) -> int:
+        """The saved-phase code of the most active free variable, or -1.
+
+        Popping a counted entry consumes one copy when it is returned
+        and every copy when it is discarded — the textbook heap would
+        pop the remaining identical copies back to back and discard
+        each, since their variable is already assigned.
+        """
         heap = self._heap
+        copies = self._heap_copies
+        values = self._values
         while heap:
-            _, var = heapq.heappop(heap)
-            if self._values[var] == 0:
-                return var if self._phase[var] else -var
-        return None
+            entry = heappop(heap)
+            count = copies.pop(entry)
+            var = entry[1]
+            if values[var << 1] == 0:
+                if count > 1:
+                    copies[entry] = count - 1
+                    heappush(heap, entry)
+                return self._phase[var]
+        return -1
 
     # -- the search loop ---------------------------------------------------
 
@@ -362,8 +436,9 @@ class CdclSolver:
         before a verdict — callers treating SAT results as proofs must
         never silently accept a budget blowout as either answer.
         """
-        assumed = [self._check_lit(a) for a in assumptions]
-        self.stats.solves += 1
+        assumed = [self._code(a) for a in assumptions]
+        stats = self.stats
+        stats.solves += 1
         if not self.ok:
             return False
         self._backtrack(0)
@@ -371,14 +446,20 @@ class CdclSolver:
             self.ok = False
             return False
 
+        values = self._values
+        levels = self._levels
+        reasons = self._reasons
+        trail = self._trail
+        trail_lim = self._trail_lim
+        propagate = self._propagate
         restart_round = 0
         budget = _RESTART_BASE * luby(1)
         conflicts_here = 0
         total_conflicts = 0
         while True:
-            confl = self._propagate()
+            confl = propagate()
             if confl is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_here += 1
                 total_conflicts += 1
                 if max_conflicts is not None and total_conflicts > max_conflicts:
@@ -386,7 +467,7 @@ class CdclSolver:
                     raise SatError(
                         "conflict budget %d exhausted" % max_conflicts
                     )
-                if self._decision_level == 0:
+                if not trail_lim:
                     self.ok = False
                     return False
                 learnt, back_level = self._analyze(confl)
@@ -395,33 +476,37 @@ class CdclSolver:
                 self._var_inc /= _VAR_DECAY
                 continue
             if conflicts_here >= budget:
-                self.stats.restarts += 1
+                stats.restarts += 1
                 restart_round += 1
                 budget = _RESTART_BASE * luby(restart_round + 1)
                 conflicts_here = 0
                 self._backtrack(0)
                 continue
-            decision = 0
-            for lit in assumed:
-                val = self._lit_value(lit)
+            decision = -1
+            for code in assumed:
+                val = values[code]
                 if val < 0:
                     # Forced false by level-0 facts and earlier
                     # assumptions alone: unsatisfiable under assumptions.
                     self._backtrack(0)
                     return False
                 if val == 0:
-                    decision = lit
+                    decision = code
                     break
-            if decision == 0:
-                picked = self._pick_branch()
-                if picked is None:
-                    self._model = list(self._values)
+            if decision < 0:
+                decision = self._pick_branch()
+                if decision < 0:
+                    self._model = list(values)
                     self._backtrack(0)
                     return True
-                decision = picked
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(decision, None)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            values[decision] = 1
+            values[decision ^ 1] = -1
+            var = decision >> 1
+            levels[var] = len(trail_lim)
+            reasons[var] = None
+            trail.append(decision)
 
     # -- model access ------------------------------------------------------
 
@@ -429,6 +514,4 @@ class CdclSolver:
         """The last model's value of a literal (False when unassigned)."""
         if not self._model:
             raise SatError("no model: the last solve() did not return SAT")
-        self._check_lit(lit)
-        val = self._model[abs(lit)]
-        return (val > 0) if lit > 0 else (val < 0)
+        return self._model[self._code(lit)] > 0

@@ -17,7 +17,6 @@ from repro.obs import (
     capture,
     get_tracer,
     metrics,
-    recursion_limit,
     render_span_tree,
     span,
 )
@@ -256,25 +255,6 @@ class TestMetrics:
 
 
 class TestRecursionLimit:
-    def test_restores_previous_limit(self):
-        before = sys.getrecursionlimit()
-        with recursion_limit(before + 5000):
-            assert sys.getrecursionlimit() == before + 5000
-        assert sys.getrecursionlimit() == before
-
-    def test_never_lowers(self):
-        before = sys.getrecursionlimit()
-        with recursion_limit(10):
-            assert sys.getrecursionlimit() == before
-        assert sys.getrecursionlimit() == before
-
-    def test_restores_on_exception(self):
-        before = sys.getrecursionlimit()
-        with pytest.raises(RuntimeError):
-            with recursion_limit(before + 1000):
-                raise RuntimeError("x")
-        assert sys.getrecursionlimit() == before
-
     def test_chortle_map_does_not_leak_limit(self):
         before = sys.getrecursionlimit()
         net = mcnc_circuit("count")

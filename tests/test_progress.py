@@ -157,7 +157,7 @@ class TestSuiteIntegration:
             progress=emitter,
             matrix=False,
         )
-        assert payload["gate"]["pass"] is True
+        assert payload["qor_identical"] is True
         # One started+finished pair per cell per phase.
         assert emitter.total == 4
         phases = {e.phase for e in events}

@@ -1,7 +1,8 @@
 """Tests for the SAT engine: solver, CNF encoder, and miter checker.
 
 Covers the CDCL solver on hand-built CNF (sat/unsat/assumptions/budget),
-random-CNF fuzz against brute force, the Tseitin encoder's special forms,
+random-CNF fuzz against brute force, pinned search trajectories (also
+under constant activity rescaling), the Tseitin encoder's special forms,
 SAT-vs-exhaustive-simulation agreement on random networks across mappers
 (the issue's acceptance fuzz), and per-LUT localization of a
 deliberately corrupted LUT with a concrete counterexample.
@@ -12,6 +13,8 @@ import random
 
 import pytest
 
+import repro.sat.solver as solver_module
+from repro.bench.adversarial import adversarial_preset
 from repro.core.chortle import ChortleMapper
 from repro.core.lut import LUTCircuit
 from repro.errors import SatError, VerificationError
@@ -21,6 +24,7 @@ from repro.network.simulate import exhaustive_input_words, simulate
 from repro.sat import (
     CdclSolver,
     Encoder,
+    SolverStats,
     check_equivalence,
     check_per_lut,
     luby,
@@ -29,6 +33,160 @@ from repro.truth.truthtable import TruthTable
 from repro.verify import verify_equivalence
 
 from tests.util import make_random_network
+
+
+def _pigeonhole(pigeons, holes):
+    """A solver loaded with PHP(pigeons, holes): UNSAT when pigeons > holes."""
+    s = CdclSolver()
+    var = {(p, h): s.new_var() for p in range(pigeons) for h in range(holes)}
+    for p in range(pigeons):
+        s.add_clause([var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                s.add_clause([-var[p1, h], -var[p2, h]])
+    return s
+
+
+def _fuzz_against_brute_force():
+    """Random small CNFs: verdicts match brute force, models satisfy."""
+    rng = random.Random(2026)
+    for trial in range(60):
+        nvars = rng.randint(1, 8)
+        nclauses = rng.randint(1, 4 * nvars)
+        clauses = []
+        for _ in range(nclauses):
+            width = rng.randint(1, min(3, nvars))
+            chosen = rng.sample(range(1, nvars + 1), width)
+            clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+        brute = any(
+            all(
+                any(
+                    (assignment >> (abs(lit) - 1)) & 1 == (lit > 0)
+                    for lit in clause
+                )
+                for clause in clauses
+            )
+            for assignment in range(1 << nvars)
+        )
+        s = CdclSolver()
+        for _ in range(nvars):
+            s.new_var()
+        ok = True
+        for clause in clauses:
+            ok = s.add_clause(clause) and ok
+        got = ok and s.solve()
+        assert got == brute, "trial %d: solver %s, brute force %s" % (
+            trial, got, brute,
+        )
+        if got:  # the model must actually satisfy every clause
+            for clause in clauses:
+                assert any(
+                    s.model_value(abs(lit)) == (lit > 0) for lit in clause
+                )
+
+
+def _random_3sat_under_assumptions():
+    """Six assumption solves on one seeded 100-var, 426-clause 3-SAT CNF."""
+    rng = random.Random(12)
+    s = CdclSolver()
+    lits = [s.new_var() for _ in range(100)]
+    clauses = []
+    for _ in range(426):
+        chosen = rng.sample(lits, 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+        s.add_clause(clauses[-1])
+    verdicts = []
+    for _ in range(6):
+        assumed = [v if rng.random() < 0.5 else -v for v in rng.sample(lits, 4)]
+        verdict = s.solve(assumed)
+        verdicts.append(verdict)
+        if verdict:
+            for clause in clauses + [[lit] for lit in assumed]:
+                assert any(
+                    s.model_value(abs(lit)) == (lit > 0) for lit in clause
+                )
+    return s, verdicts
+
+
+def _adv_add10_miter_stats():
+    net = adversarial_preset("adv_add10")
+    result = check_equivalence(net, ChortleMapper(k=4).map(net))
+    assert result.equivalent
+    return {name: result.stats[name] for name in SolverStats.__slots__}
+
+
+def _stats(solves, decisions, propagations, conflicts, learned, restarts):
+    return {
+        "solves": solves,
+        "decisions": decisions,
+        "propagations": propagations,
+        "conflicts": conflicts,
+        "learned": learned,
+        "restarts": restarts,
+    }
+
+
+class TestSearchTrajectory:
+    """The solver's search is pinned, counter for counter.
+
+    The expected counters were recorded from the textbook solver (DIMACS
+    literals throughout, one VSIDS heap push per bump and per
+    unassignment).  Any change to the kernel must reproduce them
+    exactly: a different count means a different search, not a faster
+    one.
+    """
+
+    def test_pigeonhole_5_4(self):
+        s = _pigeonhole(5, 4)
+        assert not s.solve()
+        assert s.stats.to_dict() == _stats(1, 38, 297, 28, 27, 0)
+
+    def test_random_3sat_under_assumptions(self):
+        s, verdicts = _random_3sat_under_assumptions()
+        assert verdicts == [False, False, True, False, False, False]
+        assert s.stats.to_dict() == _stats(6, 560, 10213, 439, 439, 0)
+
+    def test_adv_add10_miter(self):
+        assert _adv_add10_miter_stats() == _stats(7, 320, 4647, 220, 220, 1)
+
+
+class TestActivityRescale:
+    """Activity rescaling, which never fires at the production limit.
+
+    A rescale shrinks every activity but leaves queued heap entries at
+    their old keys, so it is the path where a heap that skips duplicate
+    entries could drift from the textbook heap.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _tiny_limit(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_RESCALE_LIMIT", 1e3)
+        calls = []
+        rescale = CdclSolver._rescale
+
+        def counting(solver):
+            calls.append(1)
+            rescale(solver)
+
+        monkeypatch.setattr(CdclSolver, "_rescale", counting)
+        return calls
+
+    def test_fuzz_against_brute_force(self):
+        _fuzz_against_brute_force()
+
+    def test_pigeonhole_unsat(self, _tiny_limit):
+        assert not _pigeonhole(4, 3).solve()
+        assert not _pigeonhole(6, 5).solve()
+        assert _tiny_limit, "the limit is too high to exercise rescaling"
+
+    def test_trajectories_match_textbook_heap(self, _tiny_limit):
+        # Recorded from the textbook solver under the same 1e3 limit.
+        s, verdicts = _random_3sat_under_assumptions()
+        assert verdicts == [False, False, True, False, False, False]
+        assert s.stats.to_dict() == _stats(6, 1059, 16958, 778, 778, 4)
+        assert _adv_add10_miter_stats() == _stats(7, 431, 5760, 274, 274, 1)
+        assert _tiny_limit
 
 
 class TestSolver:
@@ -98,57 +256,26 @@ class TestSolver:
 
     def test_pigeonhole_unsat(self):
         # PHP(4,3): 4 pigeons into 3 holes — UNSAT, needs real learning.
-        s = CdclSolver()
-        holes = 3
-        var = {
-            (p, h): s.new_var() for p in range(holes + 1) for h in range(holes)
-        }
-        for p in range(holes + 1):
-            s.add_clause([var[p, h] for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(holes + 1):
-                for p2 in range(p1 + 1, holes + 1):
-                    s.add_clause([-var[p1, h], -var[p2, h]])
+        s = _pigeonhole(4, 3)
         assert not s.solve()
         assert s.stats.conflicts > 0
 
     def test_fuzz_against_brute_force(self):
-        rng = random.Random(2026)
-        for trial in range(60):
-            nvars = rng.randint(1, 8)
-            nclauses = rng.randint(1, 4 * nvars)
-            clauses = []
-            for _ in range(nclauses):
-                width = rng.randint(1, min(3, nvars))
-                chosen = rng.sample(range(1, nvars + 1), width)
-                clauses.append(
-                    [v if rng.random() < 0.5 else -v for v in chosen]
-                )
-            brute = any(
-                all(
-                    any(
-                        (assignment >> (abs(lit) - 1)) & 1 == (lit > 0)
-                        for lit in clause
-                    )
-                    for clause in clauses
-                )
-                for assignment in range(1 << nvars)
-            )
-            s = CdclSolver()
-            for _ in range(nvars):
-                s.new_var()
-            ok = True
-            for clause in clauses:
-                ok = s.add_clause(clause) and ok
-            got = ok and s.solve()
-            assert got == brute, "trial %d: solver %s, brute force %s" % (
-                trial, got, brute,
-            )
-            if got:  # the model must actually satisfy every clause
-                for clause in clauses:
-                    assert any(
-                        s.model_value(abs(lit)) == (lit > 0) for lit in clause
-                    )
+        _fuzz_against_brute_force()
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_non_int_literals_rejected(self, bad):
+        # bool is an int subclass: True must not silently mean literal 1.
+        s = CdclSolver()
+        a = s.new_var()
+        with pytest.raises(SatError):
+            s.add_clause([bad])
+        with pytest.raises(SatError):
+            s.solve([bad])
+        assert s.solve([a])
+        with pytest.raises(SatError):
+            s.model_value(bad)
+        assert s.model_value(a)
 
     def test_luby_sequence(self):
         assert [luby(i) for i in range(1, 10)] == [1, 1, 2, 1, 1, 2, 4, 1, 1]
