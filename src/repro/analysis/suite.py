@@ -2,10 +2,11 @@
 
 :func:`lint_cell` maps one (circuit, K, mapper) cell and runs the full
 :func:`~repro.analysis.engine.lint_mapping` audit over it;
-:func:`lint_suite` fans the cells of the QoR sweep across worker
-processes the same way the benchmark runner does (workers at module top
-level so they pickle under ``spawn``; results restored in submission
-order so output is deterministic).  This is what ``chortle lint
+:func:`lint_suite` fans the cells of the QoR sweep across the shared
+fork-once worker pool (:func:`repro.perf.pool.get_pool`) the benchmark
+runner uses (workers at module top level so they pickle under
+``spawn``; results restored in submission order so output is
+deterministic).  This is what ``chortle lint
 --suite`` and the CI ``lint-circuits`` gate run.
 """
 
@@ -108,21 +109,20 @@ def lint_suite(
                     phase="lint",
                 )
         return findings
-    workers = min(jobs, len(cells))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_timed_lint_cell_worker, cell) for cell in cells
-        ]
-        if emitter is not None:
-            future_cells = dict(zip(futures, cells))
-            for future in concurrent.futures.as_completed(futures):
-                name, k, mapper = future_cells[future][:3]
-                emitter.cell_finished(
-                    name, k, mapper,
-                    seconds=future.result()[1],
-                    phase="lint",
-                )
-        # Findings in submission order, whatever order the pool ran them.
-        for future in futures:
-            findings.extend(future.result()[0])
+    from repro.perf.pool import get_pool
+
+    pool = get_pool(min(jobs, len(cells)))
+    futures = [pool.submit(_timed_lint_cell_worker, cell) for cell in cells]
+    if emitter is not None:
+        future_cells = dict(zip(futures, cells))
+        for future in concurrent.futures.as_completed(futures):
+            name, k, mapper = future_cells[future][:3]
+            emitter.cell_finished(
+                name, k, mapper,
+                seconds=future.result()[1],
+                phase="lint",
+            )
+    # Findings in submission order, whatever order the pool ran them.
+    for future in futures:
+        findings.extend(future.result()[0])
     return findings

@@ -161,7 +161,7 @@ def run_one_cell(
     mapper_name: str,
     verify: bool = False,
     cache=None,
-    mapper_opts: Optional[Dict[str, object]] = None,
+    jobs: int = 1,
 ) -> MappingReport:
     """Run a single (circuit, K, mapper) cell and build its report.
 
@@ -169,16 +169,10 @@ def run_one_cell(
     attributed a counter delta; ``wall_seconds`` additionally records
     the full cell wall clock — mapping plus verification plus report
     assembly — so QoR diffs can flag runtime regressions that live
-    outside the mapper proper.
+    outside the mapper proper.  ``jobs`` maps the cell's trees on that
+    many worker processes.
     """
-    opts = dict(mapper_opts or {})
-    mapper = resolve_mapper(
-        mapper_name,
-        k,
-        cache=cache,
-        jobs=int(opts.get("jobs", 1)),
-        executor=str(opts.get("executor", "thread")),
-    )
+    mapper = resolve_mapper(mapper_name, k, cache=cache, jobs=jobs)
     wall_started = time.perf_counter()
     counters_before = metrics.counters()
     # capture() must attach its sink before span() is evaluated, or the

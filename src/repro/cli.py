@@ -1177,7 +1177,7 @@ def _add_perf_options(p: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="map forest trees on N worker threads (default 1: serial)",
+        help="map forest trees on N worker processes (default 1: serial)",
     )
     p.add_argument(
         "--cache",
@@ -1189,7 +1189,9 @@ def _add_perf_options(p: argparse.ArgumentParser) -> None:
         "--cache-dir",
         metavar="DIR",
         help="persist the node-table cache under DIR across runs "
-        "(implies --cache); only load cache files you wrote yourself",
+        "(implies --cache); only load cache files you wrote yourself.  "
+        "With --jobs > 1 each worker process starts from the loaded "
+        "tables, but tables it computes are not written back",
     )
 
 
@@ -1375,14 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     p_explain.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="map forest trees on N worker threads (records are "
-        "bit-identical to serial)",
-    )
-    p_explain.add_argument(
         "-o", "--output", help="write the explanation to this file"
     )
     p_explain.set_defaults(func=_cmd_explain, explain=True)
@@ -1426,12 +1420,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker threads for the parallel phase (default 2)",
+        help="worker processes added to the matrix legs' jobs sweep "
+        "(default 2)",
     )
     p_perf.add_argument(
         "--no-matrix",
         action="store_true",
-        help="skip the process-executor jobs x pool-reuse matrix legs",
+        help="skip the jobs x pool-reuse matrix legs",
     )
     p_perf.add_argument(
         "--cache-dir",
@@ -1464,7 +1459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument(
         "--progress",
         action="store_true",
-        help="per-cell heartbeat lines on stderr across all four phases",
+        help="per-cell heartbeat lines on stderr across all phases",
     )
     p_perf.set_defaults(func=_cmd_bench_perf)
 
@@ -1844,7 +1839,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=2,
             metavar="N",
-            help="worker threads for the parallel phase (default 2)",
+            help="worker processes added to the matrix legs' jobs sweep "
+            "(default 2)",
         )
         p.add_argument("--label", default="", help="free-form record label")
         p.add_argument(

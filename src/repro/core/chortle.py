@@ -8,10 +8,8 @@ verification.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-import time
-from typing import List
+from typing import List, Optional
 
 from repro.errors import MappingError
 from repro.core.forest import build_forest, check_forest, tree_orders
@@ -36,20 +34,19 @@ class ChortleMapper:
     ``cache`` enables structural memoization of node tables (``True``
     for the shared process-wide cache, or an explicit
     :class:`~repro.perf.memo.NodeTableCache`); ``jobs`` maps forest
-    trees concurrently (``None`` = one worker per CPU).  Both are
-    QoR-neutral: the mapped circuit is bit-identical to a serial,
-    uncached run.  ``executor`` selects thread workers (default; shares
-    the memo cache, zero-copy) or process workers (sidesteps the GIL at
-    the price of pickling the network per worker).
+    trees on that many worker processes of the shared fork-once pool
+    (``None`` = one per CPU).  Both are QoR-neutral: the mapped circuit
+    is bit-identical to a serial, uncached run.  Under ``jobs > 1`` each
+    worker uses its own process-local memo cache instead of ``cache``.
 
     ``recorder`` (a :class:`~repro.obs.explain.DecisionRecorder`) turns
     on decision provenance: the mapper records every tree-DP choice and
     exposes a built :class:`~repro.obs.explain.MappingExplanation` as
     :attr:`explanation` after each ``map`` call.  Recording is
     cache-exclusive (the memo cache is bypassed so records are exact and
-    reproducible) and thread-compatible, but requires the ``thread``
-    executor — worker processes cannot stream decisions back.  The
-    mapped circuit is bit-identical with recording on or off.
+    reproducible) and needs ``jobs=1`` — worker processes cannot stream
+    decisions back.  The mapped circuit is bit-identical with recording
+    on or off.
     """
 
     name = "chortle"  # spec name under the common Mapper protocol
@@ -61,17 +58,12 @@ class ChortleMapper:
         preprocess: bool = True,
         cache=None,
         jobs: int = 1,
-        executor: str = "thread",
         recorder=None,
     ):
-        if executor not in ("thread", "process"):
+        if recorder is not None and jobs != 1:
             raise MappingError(
-                "executor must be 'thread' or 'process', got %r" % executor
-            )
-        if recorder is not None and executor == "process":
-            raise MappingError(
-                "decision recording requires the thread (or serial) "
-                "executor; process workers cannot stream decisions back"
+                "decision recording needs jobs=1, got jobs=%r; worker "
+                "processes cannot stream decisions back" % (jobs,)
             )
         self.k = k
         self.split_threshold = split_threshold
@@ -80,7 +72,6 @@ class ChortleMapper:
 
         self.cache = resolve_cache(cache)
         self.jobs = jobs
-        self.executor = executor
         self.recorder = recorder
         # The explanation for the most recent map() call (recorder set).
         self.explanation = None
@@ -118,8 +109,7 @@ class ChortleMapper:
         check_forest(forest)
         metrics.count("chortle.trees_mapped", len(forest.trees))
         if self.recorder is not None:
-            # Records come back in forest order no matter which worker
-            # thread finished a tree first.
+            # Explanations list trees in forest order, not by root name.
             self.recorder.set_order([tree.root for tree in forest.trees])
 
         circuit = LUTCircuit("%s_k%d" % (net.name, self.k))
@@ -146,77 +136,48 @@ class ChortleMapper:
 
         ``orders`` carries each tree's internal nodes in topological
         order, computed once per network (``tree_orders``).  With
-        ``jobs > 1`` the independent tree problems are fanned across a
-        ``concurrent.futures`` executor; results are collected in
-        submission order, so the emitted circuit — names, LUT order,
-        functions — is identical to a serial run.
+        ``jobs > 1`` the independent tree problems are fanned across the
+        fork-once process pool; results come back in forest order, so
+        the emitted circuit — names, LUT order, functions — is identical
+        to a serial run.
         """
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
         if jobs <= 1 or len(trees) < 2:
             return [
-                self._map_one_tree(net, tree, order, worker=None)
+                map_one_tree(self._tree_mapper, net, tree, order)
                 for tree, order in zip(trees, orders)
             ]
-        from repro.perf.parallel import map_trees_processes, record_task_telemetry
+        from repro.perf.parallel import map_trees_processes
 
         jobs = min(jobs, len(trees))
-        with span(
-            "chortle.parallel", jobs=jobs, executor=self.executor,
-            trees=len(trees),
-        ) as par_sp:
-            if self.executor == "process":
-                return map_trees_processes(
-                    net,
-                    len(trees),
-                    k=self.k,
-                    split_threshold=self.split_threshold,
-                    jobs=jobs,
-                    use_shared_cache=self.cache is not None,
-                )
-
-            # Thread workers submit nothing over a pipe (pickle bytes are
-            # zero by construction), but queue wait and per-tree compute
-            # are still attributed so a flat speedup can be explained.
-            def timed_task(tree, order, worker: int, submitted_at: float) -> MapCand:
-                started_at = time.perf_counter()
-                cand = self._map_one_tree(net, tree, order, worker=worker)
-                record_task_telemetry(
-                    queue_wait=max(0.0, started_at - submitted_at),
-                    task_seconds=time.perf_counter() - started_at,
-                )
-                return cand
-
-            counters_before = metrics.counters()
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="chortle-map"
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        timed_task, tree, orders[i], i % jobs,
-                        time.perf_counter(),
-                    )
-                    for i, tree in enumerate(trees)
-                ]
-                cands = [future.result() for future in futures]
-            delta = metrics.counter_delta(counters_before)
-            par_sp.set(
-                "queue_wait_seconds",
-                round(delta.get("perf.parallel.queue_wait_us", 0) / 1e6, 4),
+        with span("chortle.parallel", jobs=jobs, trees=len(trees)):
+            return map_trees_processes(
+                net,
+                len(trees),
+                k=self.k,
+                split_threshold=self.split_threshold,
+                jobs=jobs,
+                use_shared_cache=self.cache is not None,
             )
-            par_sp.set(
-                "task_seconds",
-                round(delta.get("perf.parallel.task_us", 0) / 1e6, 4),
-            )
-            return cands
 
-    def _map_one_tree(self, net: BooleanNetwork, tree, order, worker) -> MapCand:
-        attrs = {"tree": tree.root, "nodes": tree.num_nodes}
-        if worker is not None:
-            attrs["worker"] = worker
-        with span("chortle.map_tree", **attrs) as tree_sp:
-            cand = self._tree_mapper.map_tree(net, tree, order=order)
-            tree_sp.set("luts", cand.cost)
-        return cand
+
+def map_one_tree(
+    tree_mapper: TreeMapper, net: BooleanNetwork, tree, order,
+    worker: Optional[int] = None,
+) -> MapCand:
+    """One tree's root candidate, under its ``chortle.map_tree`` span.
+
+    The serial path and the pool workers both map through here, so a
+    parallel trace holds the same spans as a serial one, plus the
+    ``worker`` attribute.
+    """
+    attrs = {"tree": tree.root, "nodes": tree.num_nodes}
+    if worker is not None:
+        attrs["worker"] = worker
+    with span("chortle.map_tree", **attrs) as tree_sp:
+        cand = tree_mapper.map_tree(net, tree, order=order)
+        tree_sp.set("luts", cand.cost)
+    return cand
 
 
 def map_network(

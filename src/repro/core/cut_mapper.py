@@ -30,18 +30,15 @@ Chortle (FlowMap-r, CutMap, ABC's ``if``, iMap's ``klut_mapping``):
    :func:`~repro.core.substrate.wire_outputs`.
 
 Like the tree mapper, ``cache`` (cone truth tables keyed by
-:func:`~repro.core.substrate.cone_signature`) and ``jobs`` (thread-
-parallel cone evaluation) are QoR-neutral accelerators, and a
-``recorder`` turns on decision provenance — per covered node the chosen
-cut, the retained runner-up cuts, and the cost distance between them
-(area flow recorded in milli-LUT units, since decision costs are
-integers).
+:func:`~repro.core.substrate.cone_signature`) is a QoR-neutral
+accelerator, and a ``recorder`` turns on decision provenance — per
+covered node the chosen cut, the retained runner-up cuts, and the cost
+distance between them (area flow recorded in milli-LUT units, since
+decision costs are integers).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -84,10 +81,8 @@ class CutMapper:
     ``rounds`` is the number of area-recovery re-enumerations; ``cache``
     memoizes cone truth tables across calls and K sweeps (``True`` for
     the shared process cache, or an explicit
-    :class:`~repro.perf.memo.NodeTableCache`); ``jobs`` evaluates cone
-    truth tables on worker threads (``None`` = one per CPU).  Cache and
-    jobs are QoR-neutral: the mapped circuit is bit-identical to a
-    serial, uncached run.
+    :class:`~repro.perf.memo.NodeTableCache`).  The cache is
+    QoR-neutral: the mapped circuit is bit-identical to an uncached run.
 
     ``recorder`` (a :class:`~repro.obs.explain.DecisionRecorder`)
     enables decision provenance; the built
@@ -107,7 +102,6 @@ class CutMapper:
         rounds: int = 2,
         preprocess: bool = True,
         cache: object = None,
-        jobs: int = 1,
         recorder: Optional["DecisionRecorder"] = None,
     ) -> None:
         check_cut_size(k)
@@ -125,7 +119,6 @@ class CutMapper:
         from repro.perf.memo import resolve_cache
 
         self.cache = resolve_cache(cache)
-        self.jobs = jobs
         self.recorder = recorder
         # The explanation for the most recent map() call (recorder set).
         self.explanation: Optional["MappingExplanation"] = None
@@ -393,12 +386,10 @@ class CutMapper:
         cover: Dict[str, Cut],
         order: List[str],
     ) -> Dict[str, TruthTable]:
-        """Cone truth tables for every covered node, memoized and
-        (optionally) evaluated on worker threads.
+        """Cone truth tables for every covered node, memoized.
 
-        Both accelerators are exact: the cache key is the canonical cone
-        structure (:func:`~repro.core.substrate.cone_signature`), and
-        thread results are collected in submission order.
+        The cache is exact: its key is the canonical cone structure
+        (:func:`~repro.core.substrate.cone_signature`).
         """
 
         def one(name: str) -> TruthTable:
@@ -412,15 +403,7 @@ class CutMapper:
                 self.cache.put(key, tt)
             return tt
 
-        jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        if jobs <= 1 or len(order) < 2:
-            return {name: one(name) for name in order}
-        with span("cutmap.parallel", jobs=jobs, cones=len(order)):
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(jobs, len(order)),
-                thread_name_prefix="cutmap-tt",
-            ) as pool:
-                return dict(zip(order, pool.map(one, order)))
+        return {name: one(name) for name in order}
 
     # -- decision provenance -------------------------------------------------
 

@@ -44,7 +44,9 @@ class Mapper(Protocol):
 #: engine simply ignore the perf options.
 CORE_MAPPERS: Dict[str, Callable[..., Mapper]] = {
     "chortle": lambda k, **opts: ChortleMapper(k=k, **opts),
-    "cutmap": lambda k, **opts: CutMapper(k=k, **opts),
+    "cutmap": lambda k, cache=None, recorder=None, **opts: CutMapper(
+        k=k, cache=cache, recorder=recorder
+    ),
     "mis": lambda k, **opts: MisMapper(k=k),
     "flowmap": lambda k, **opts: FlowMapper(k=k),
     "binpack": lambda k, **opts: BinPackMapper(k=k),
@@ -220,18 +222,15 @@ def resolve_mapper(
     cache=None,
     jobs: int = 1,
     explain: bool = False,
-    executor: str = "thread",
     verify_method: str = "sim",
 ) -> Mapper:
     """A ready-to-run mapper for a raw-mapper name, flow name, or flow spec.
 
     ``cache`` and ``jobs`` are the performance-layer options (structural
-    node-table memoization and parallel tree mapping; see
-    :mod:`repro.perf`); they reach the chortle engine whether it is
-    resolved raw or as a stage of a flow, and are ignored by mappers
-    without that engine.  ``executor`` selects thread or process
-    workers for the raw chortle engine's parallel path; other mappers
-    and flows ignore it.
+    node-table memoization and tree mapping on ``jobs`` worker
+    processes; see :mod:`repro.perf`); they reach the chortle engine
+    whether it is resolved raw or as a stage of a flow.  The cut
+    mappers honour ``cache`` only; the other mappers ignore both.
 
     ``explain`` turns on decision provenance: a mapper that records
     decisions (raw chortle, or any flow containing the chortle pass)
@@ -256,8 +255,6 @@ def resolve_mapper(
                 % (name, mode, ", ".join(registry.names()))
             )
         opts: Dict[str, object] = {"cache": cache, "jobs": jobs}
-        if name == "chortle" and executor != "thread":
-            opts["executor"] = executor
         if explain and name in RECORDING_MAPPERS:
             from repro.obs.explain import DecisionRecorder
 

@@ -128,7 +128,7 @@ class ChortlePass(MapPass):
 
     Honours the performance-layer context options: ``cache`` (a
     :class:`~repro.perf.memo.NodeTableCache`, or ``True`` for the shared
-    one), ``jobs``, and ``executor`` — see :mod:`repro.perf`.
+    one) and ``jobs`` — see :mod:`repro.perf`.
     """
 
     name = "chortle"
@@ -144,7 +144,6 @@ class ChortlePass(MapPass):
             split_threshold=ctx.option("split_threshold", 10),
             cache=ctx.option("cache"),
             jobs=ctx.option("jobs", 1),
-            executor=ctx.option("executor", "thread"),
             recorder=recorder,
         )
         circuit = mapper.map(value)
@@ -159,8 +158,8 @@ class CutMapPass(MapPass):
     One shared class serves both objectives: ``CutMapPass()`` registers
     as ``cutmap`` (area-flow covering), ``CutMapPass(mode="depth")`` as
     ``cutmap_delay`` (depth-first covering).  Honours the context
-    options ``priority_size``, ``rounds``, ``cache``, and ``jobs``, and
-    records decision provenance when the context asks for it.
+    options ``priority_size``, ``rounds``, and ``cache``, and records
+    decision provenance when the context asks for it.
     """
 
     def __init__(self, mode: str = "area"):
@@ -182,7 +181,6 @@ class CutMapPass(MapPass):
             mode=self.mode,
             rounds=ctx.option("rounds", 2),
             cache=ctx.option("cache"),
-            jobs=ctx.option("jobs", 1),
             recorder=recorder,
         )
         circuit = mapper.map(value)

@@ -184,11 +184,12 @@ class TreeDecisions:
 class DecisionRecorder:
     """Collects per-tree decision records from the mapper.
 
-    Thread-safe: the parallel tree fan-out records different trees from
-    different worker threads.  Output order is independent of execution
-    order — trees come back in the forest order the mapper declares via
-    :meth:`set_order` — so records are bit-identical across serial,
-    ``jobs=N``, and warm-cache runs.
+    Thread-safe, so a library caller may record from its own threads.
+    Output order is independent of execution order — trees come back in
+    the forest order the mapper declares via :meth:`set_order` — so
+    records are bit-identical across cold- and warm-cache runs.
+    Recording needs ``jobs=1``: worker processes cannot stream
+    decisions back.
     """
 
     def __init__(self) -> None:

@@ -69,7 +69,7 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, HistogramStat] = {}
-        # Writers run on parallel-mapping worker threads too; the
+        # A library caller may map from its own threads; the
         # read-modify-write updates need the lock to avoid lost counts.
         self._lock = threading.Lock()
 

@@ -8,11 +8,13 @@ of the parallel phase.
 
 Raw wall seconds are honest only on the machine that measured them, so
 the gating metrics are **phase ratios** — warm/serial, warm/cold,
-parallel/serial — which describe the cache and the executor rather
-than the host.  Ratios still jitter (the phases are timed separately),
-so every policy carries a relative-plus-absolute tolerance band, like
-the QoR diff's soft metrics.  Raw per-phase seconds are classified and
-shown but never gate.
+parallel/serial — which describe the cache and the worker pool rather
+than the host.  "Parallel" is the
+:data:`~repro.obs.perfrec.PARALLEL_PHASE` matrix leg: two worker
+processes on the warm pool.  Ratios still jitter (the phases are timed
+separately), so every policy carries a relative-plus-absolute tolerance
+band, like the QoR diff's soft metrics.  Raw per-phase seconds are
+classified and shown but never gate.
 
 When the two records were measured on different machine shapes
 (cpu count / effective affinity — see
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.obs.perfrec import PHASE_NAMES, PerfHistory, PerfRecord
+from repro.obs.perfrec import PARALLEL_PHASE, PHASE_NAMES, PerfHistory, PerfRecord
 
 IMPROVED = "improved"
 UNCHANGED = "unchanged"
@@ -77,7 +79,7 @@ DEFAULT_PERF_POLICIES: Tuple[PerfPolicy, ...] = (
     PerfPolicy("warm_vs_cold", "warm_cache", "cold_cache"),
     PerfPolicy("warm_vs_serial", "warm_cache", "serial_uncached"),
     PerfPolicy("cold_vs_serial", "cold_cache", "serial_uncached"),
-    PerfPolicy("parallel_vs_serial", "parallel", "serial_uncached"),
+    PerfPolicy("parallel_vs_serial", PARALLEL_PHASE, "serial_uncached"),
 ) + tuple(
     PerfPolicy(
         "%s_seconds" % name,
@@ -202,9 +204,9 @@ def _extra_phase_policies(
 ) -> Tuple[PerfPolicy, ...]:
     """Non-gating seconds rows for phase names the static policies miss.
 
-    The bench-perf harness grows phase names over time (the process
-    executor's jobs x pool-reuse matrix legs, for instance); records in
-    a committed ``perf_history.json`` predate them.  New names get
+    The bench-perf harness grows phase names over time (the jobs x
+    pool-reuse matrix legs, for instance); records in a committed
+    ``perf_history.json`` predate them.  New names get
     informational seconds rows when both records carry them, and are
     simply skipped — never treated as regressions — when one side lacks
     them, so extending the harness never invalidates existing history.
@@ -284,13 +286,13 @@ def parallel_attribution(record: PerfRecord) -> List[str]:
     dominant reason the measured speedup is what it is — the
     data-driven answer to "why is jobs=2 at 0.96x".
     """
-    phase = record.phases.get("parallel")
+    phase = record.phases.get(PARALLEL_PHASE)
     if not phase:
         return []
-    seconds = record.phase_seconds("parallel")
+    seconds = record.phase_seconds(PARALLEL_PHASE)
     serial = record.phase_seconds("serial_uncached")
     jobs = int(phase.get("jobs", 0) or 0)
-    speedup = record.ratio("serial_uncached", "parallel")  # serial/parallel
+    speedup = record.ratio("serial_uncached", PARALLEL_PHASE)  # serial/parallel
     lines: List[str] = []
     if seconds is not None and serial is not None and speedup is not None:
         lines.append(
@@ -306,14 +308,7 @@ def parallel_attribution(record: PerfRecord) -> List[str]:
     tasks = int(workers.get("tasks", 0) or 0)
     lines.append(
         "worker buckets over %d tasks: %.3fs compute, %.3fs queue wait, "
-        "%d bytes of pickled payloads (%s executor)"
-        % (
-            tasks,
-            compute,
-            queue_wait,
-            pickle_bytes,
-            workers.get("executor", "?"),
-        )
+        "%d bytes of pickled payloads" % (tasks, compute, queue_wait, pickle_bytes)
     )
     cores = record.environment.get("cpu_affinity")
     if cores is None:
@@ -329,8 +324,7 @@ def parallel_attribution(record: PerfRecord) -> List[str]:
     elif compute > 0 and queue_wait > 0.5 * compute:
         lines.append(
             "verdict: queue wait is %.0f%% of compute — workers are starved "
-            "waiting for tasks (or the GIL); raise chunk sizes or switch "
-            "executors" % (100.0 * queue_wait / compute)
+            "waiting for tasks; raise chunk sizes" % (100.0 * queue_wait / compute)
         )
     elif pickle_bytes > 0 and seconds is not None and serial is not None:
         lines.append(
@@ -373,7 +367,7 @@ def render_trend(history: PerfHistory, limit: int = 10) -> str:
                 "%.2f" % serial if serial is not None else "-",
                 speed("cold_cache"),
                 speed("warm_cache"),
-                speed("parallel"),
+                speed(PARALLEL_PHASE),
             )
         )
     return "\n".join(lines)

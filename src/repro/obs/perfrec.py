@@ -3,8 +3,8 @@
 The QoR observatory keeps versioned run records, a committed baseline,
 and a diff gate; until this module, the perf trajectory had none of
 that — ``BENCH_perf.json`` was a one-shot snapshot.  A
-:class:`PerfRecord` freezes one ``bench-perf`` trajectory (the four
-phase wall clocks, cache and worker telemetry, config) together with
+:class:`PerfRecord` freezes one ``bench-perf`` trajectory (the phase
+wall clocks, cache and worker telemetry, config) together with
 the environment block that determines whether two measurements are
 comparable at all: git sha, python, platform, ``os.cpu_count()``, and
 the *effective* CPU affinity — on a containerized runner the two core
@@ -31,12 +31,16 @@ from repro.obs.qor import collect_environment
 
 SCHEMA_VERSION = 1
 
+#: The matrix leg that stands for parallel mapping in diffs and trends:
+#: two worker processes on the warm fork-once pool.
+PARALLEL_PHASE = "parallel_proc_j2_reuse"
+
 #: The bench-perf phases every record carries, in trajectory order.
 PHASE_NAMES: Tuple[str, ...] = (
     "serial_uncached",
     "cold_cache",
     "warm_cache",
-    "parallel",
+    PARALLEL_PHASE,
 )
 
 

@@ -102,8 +102,8 @@ class ProgressEmitter:
     unknown and no ETA is computed).  ``stream`` receives one rendered
     line per event (``None`` silences it); ``callback`` receives every
     :class:`ProgressEvent` object; ``json_stream`` receives one JSON
-    line per event.  All three sinks are independent.  Thread-safe:
-    parallel sweeps finish cells from pool threads.
+    line per event.  All three sinks are independent.  Thread-safe, so
+    a library caller may report cells from its own threads.
     """
 
     def __init__(

@@ -38,8 +38,8 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 
 @dataclass
@@ -127,7 +127,7 @@ class JsonLinesSink(Sink):
         else:
             self._handle = target
             self._owns_handle = False
-        # Spans may finish on parallel-mapping worker threads; the lock
+        # Spans may finish on a library caller's own threads; the lock
         # keeps each JSON line contiguous in the output.
         self._lock = threading.Lock()
 
@@ -235,11 +235,11 @@ class _LiveSpan:
 class Tracer:
     """Span factory with a stack of live spans and a tuple of sinks.
 
-    The live-span stack is thread-local: spans opened on a parallel
-    worker thread become roots of their own tree (carrying a ``worker``
-    attribute when the caller sets one) instead of corrupting the
+    The live-span stack is thread-local: spans opened on a caller's own
+    threads become roots of their own tree instead of corrupting the
     parent/depth bookkeeping of spans on other threads.  Span ids stay
     globally unique under a lock; sinks are shared across threads.
+    Spans finished in worker processes come home through :meth:`adopt`.
     """
 
     def __init__(self) -> None:
@@ -279,6 +279,42 @@ class Tracer:
 
     def clear_sinks(self) -> None:
         self._sinks = ()
+
+    def reset(self) -> None:
+        """Drop every sink and every thread's open spans.
+
+        A forked worker process inherits both from its parent.  Kept,
+        they would write the worker's spans, with ids from the worker's
+        copy of the counter, straight into the parent's trace file.
+        """
+        self._sinks = ()
+        self._local = threading.local()
+
+    def adopt(self, records: Sequence[SpanRecord]) -> None:
+        """Emit spans finished in a worker process as if opened here.
+
+        The worker numbered its spans from its own counter, so each
+        record gets a fresh id from this tracer's; the batch's roots are
+        attached under the span open on the calling thread, which must
+        be the span the work was submitted under.  Start times need no
+        offset: ``perf_counter`` is CLOCK_MONOTONIC on Linux, one clock
+        for every local process.
+        """
+        if not self._sinks or not records:
+            return
+        stack = self._stack
+        top = stack[-1].span_id if stack else None
+        ids = {record.span_id: self._new_span_id() for record in records}
+        for record in records:
+            parent = record.parent_id
+            adopted = replace(
+                record,
+                span_id=ids[record.span_id],
+                parent_id=top if parent is None else ids[parent],
+                depth=record.depth + len(stack),
+            )
+            for sink in self._sinks:
+                sink.emit(adopted)
 
 
 _TRACER = Tracer()

@@ -26,11 +26,12 @@ back into analyzable structure:
   Brendan Gregg's ``flamegraph.pl`` and by speedscope
   (``chortle perf flame``).
 
-Thread-parallel traces: spans opened on worker threads start fresh
-roots (the tracer's stack is thread-local), so a ``jobs > 1`` trace
-holds one tree per worker *plus* the main-thread tree whose
-``chortle.parallel`` span covers the same wall-clock interval.  Self
-times still sum to the sum of root durations, but that sum exceeds the
+Parallel traces: a ``jobs > 1`` run maps trees (or suite cells) in
+worker processes, and their spans come home under the span they were
+submitted from (``chortle.parallel`` or ``bench.suite``); tree spans
+carry a ``worker`` attribute.  Siblings from different workers overlap
+in time, so their durations can sum past the parent's: the parent's
+self time floors at 0 and the tree's self times sum to more than the
 elapsed wall clock — CPU seconds across workers, not wall seconds.
 """
 

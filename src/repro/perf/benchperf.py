@@ -1,6 +1,6 @@
 """Measured perf trajectory: the harness behind ``chortle bench-perf``.
 
-Times the Table 1-4 suite through the chortle engine in four phases —
+Times the Table 1-4 suite through the chortle engine in three phases —
 
 * ``serial_uncached`` — the reference configuration: one cell at a time,
   no memo cache.  Every other phase's ``speedup_vs_serial`` is measured
@@ -9,17 +9,15 @@ Times the Table 1-4 suite through the chortle engine in four phases —
   cache (:class:`~repro.perf.memo.NodeTableCache`).  Pays the misses,
   but repeated tree shapes within the sweep already hit.
 * ``warm_cache``      — the sweep again on the now-populated cache.
-* ``parallel``        — uncached, with ``jobs`` worker threads mapping
-  forest trees concurrently inside each cell.
 
-— plus, unless disabled, a **jobs × phase matrix** of process-executor
-legs over the fork-once worker pool (:mod:`repro.perf.pool`): for each
-jobs value in :data:`MATRIX_JOBS` a ``pool_cold`` leg (the shared pool
-is torn down first, so the leg pays worker start-up) and a
-``pool_reuse`` leg (the now-warm pool and its self-warmed worker caches
-are reused).  The legs land in the ``phases`` block under
-``parallel_proc_j<N>_<cold|reuse>`` names and are summarized in the
-``matrix`` block.
+— plus, unless disabled, a **jobs × phase matrix** of uncached legs
+that map each cell's forest trees on the fork-once worker pool
+(:mod:`repro.perf.pool`): for each jobs value in :data:`MATRIX_JOBS` a
+``pool_cold`` leg (the shared pool is torn down first, so the leg pays
+worker start-up) and a ``pool_reuse`` leg (the now-warm pool and its
+self-warmed worker caches are reused).  The legs land in the ``phases``
+block under ``parallel_proc_j<N>_<cold|reuse>`` names and are
+summarized in the ``matrix`` block.
 
 Every phase must produce *identical* QoR (LUTs / counted LUTs / depth
 per cell) — the harness cross-checks and reports ``qor_identical``; a
@@ -64,11 +62,12 @@ from repro.perf.pool import register_subject, reset_pool
 
 #: Bump when the result layout changes.  2: jobs x phase matrix legs,
 #: ``matrix`` summary block, explicit parallel gate verdict, and the
-#: schedulable-core set in ``config``.
-SCHEMA = 2
+#: schedulable-core set in ``config``.  3: no thread ``parallel`` phase
+#: and no ``executor`` keys; ``config.jobs`` is the requested jobs.
+SCHEMA = 3
 
-#: Worker counts the process-executor matrix sweeps (1 is the serial
-#: reference leg; the others exercise the fork-once pool).
+#: Worker counts the matrix sweeps (1 is the serial reference leg; the
+#: others exercise the fork-once pool).
 MATRIX_JOBS: Tuple[int, ...] = (1, 2, 4)
 
 #: The ``--quick`` subset: small enough for a CI smoke job, repetitive
@@ -99,21 +98,16 @@ def _run_phase(
     cache: Optional[NodeTableCache],
     jobs: int,
     progress: Optional[ProgressEmitter] = None,
-    executor: str = "thread",
 ) -> Tuple[dict, List[list]]:
     """Run every cell once; returns (phase record, per-cell QoR rows)."""
-    mapper_opts: Optional[Dict[str, object]] = None
     if jobs > 1:
-        mapper_opts = {"jobs": jobs}
-        if executor != "thread":
-            mapper_opts["executor"] = executor
-            # Register the whole suite before the first submit: a
-            # freshly-forked pool then inherits every subject and no
-            # cell pays a miss-retry blob mid-phase.  The mappers fan
-            # out the *swept* network, which the sweep memo keeps
-            # identity-stable across cells and phases.
-            for net, _k, _mapper in cells:
-                register_subject(sweep(net))
+        # Register the whole suite before the first submit: a
+        # freshly-forked pool then inherits every subject and no cell
+        # pays a miss-retry blob mid-phase.  The mappers fan out the
+        # *swept* network, which the sweep memo keeps identity-stable
+        # across cells and phases.
+        for net, _k, _mapper in cells:
+            register_subject(sweep(net))
     counters_before = metrics.counters()
     qor: List[list] = []
     started = time.perf_counter()
@@ -122,13 +116,7 @@ def _run_phase(
             if progress is not None:
                 progress.cell_started(net.name, k, mapper_name, phase=name)
             cell_started = time.perf_counter()
-            report = run_one_cell(
-                net,
-                k,
-                mapper_name,
-                cache=cache,
-                mapper_opts=mapper_opts,
-            )
+            report = run_one_cell(net, k, mapper_name, cache=cache, jobs=jobs)
             if progress is not None:
                 progress.cell_finished(
                     net.name,
@@ -163,10 +151,9 @@ def _run_phase(
         }
     if jobs > 1:
         # Attribute the phase's worker time: compute vs queue wait vs
-        # serialized payload bytes (zero for thread workers), straight
-        # from the perf.parallel.* counter delta.
-        record["executor"] = executor
-        record["workers"] = worker_buckets(delta, jobs=jobs, executor=executor)
+        # serialized payload bytes, straight from the perf.parallel.*
+        # counter delta.
+        record["workers"] = worker_buckets(delta, jobs=jobs)
     return record, qor
 
 
@@ -199,7 +186,8 @@ def _parallel_gate(
     verdict is downgraded to ``skipped (insufficient cores)`` instead of
     silently passing (or spuriously failing) the gate.  A
     ``serial_uncached`` phase shorter than :data:`_PARALLEL_MIN_SERIAL_S`
-    is likewise ``skipped (workload below floor)``.
+    is likewise ``skipped (workload below floor)``, and a run without
+    matrix legs is ``skipped (no parallel legs)``.
     """
     serial = phases.get("serial_uncached", {}).get("seconds")
     if serial is not None and serial < _PARALLEL_MIN_SERIAL_S:
@@ -223,7 +211,9 @@ def _parallel_gate(
     }
     if not eligible:
         return {
-            "status": "skipped (insufficient cores)",
+            "status": "skipped (insufficient cores)"
+            if legs
+            else "skipped (no parallel legs)",
             "affinity": affinity,
             "required": "parallel > 1.0x at jobs >= 2 with affinity >= jobs",
             "ok": None,
@@ -253,12 +243,12 @@ def run_bench_perf(
     """Measure the perf trajectory; returns the ``BENCH_perf.json`` payload.
 
     ``circuits`` / ``ks`` default to the full Table 1-4 suite (or the
-    CI-sized ``--quick`` subset when ``quick`` is set).  ``jobs`` sizes
-    the parallel phase's thread pool.  ``matrix`` additionally sweeps
-    the process-executor jobs x pool-reuse legs (see the module
-    docstring); pass ``False`` to skip them.  When ``cache_dir`` is
-    given, the warm cache is additionally saved to disk there and
-    immediately re-loaded into a fresh cache, recording the round trip.
+    CI-sized ``--quick`` subset when ``quick`` is set).  ``matrix``
+    sweeps the jobs x pool-reuse legs (see the module docstring), with
+    ``jobs`` worker processes added to :data:`MATRIX_JOBS`; pass
+    ``False`` to skip them.  When ``cache_dir`` is given, the warm cache
+    is additionally saved to disk there and immediately re-loaded into a
+    fresh cache, recording the round trip.
     ``progress`` takes ``True`` (heartbeat lines on stderr) or a
     :class:`~repro.obs.progress.ProgressEmitter` for per-cell
     started/finished/ETA events across all phases.
@@ -283,29 +273,24 @@ def run_bench_perf(
     ]
 
     cache = NodeTableCache()
-    phase_specs = [
-        ("serial_uncached", None, 1, "thread", None),
-        ("cold_cache", cache, 1, "thread", None),
-        ("warm_cache", cache, 1, "thread", None),
-        ("parallel", None, max(2, jobs), "thread", None),
+    phase_specs: List[Tuple[str, Optional[NodeTableCache], int, Optional[bool]]] = [
+        ("serial_uncached", None, 1, None),
+        ("cold_cache", cache, 1, None),
+        ("warm_cache", cache, 1, None),
     ]
     matrix_legs = _matrix_legs(jobs) if matrix else []
     for leg_name, leg_jobs, reuse in matrix_legs:
-        phase_specs.append(
-            (leg_name, None, leg_jobs, "process" if leg_jobs > 1 else "thread",
-             reuse)
-        )
+        phase_specs.append((leg_name, None, leg_jobs, reuse))
     emitter = resolve_progress(progress, total=len(cells) * len(phase_specs))
     phases: Dict[str, dict] = {}
     qor_by_phase: Dict[str, List[list]] = {}
-    for name, phase_cache, phase_jobs, phase_executor, reuse in phase_specs:
+    for name, phase_cache, phase_jobs, reuse in phase_specs:
         if reuse is False:
             # A cold-pool leg measures worker start-up: tear the shared
             # pool down so the leg forks fresh workers.
             reset_pool()
         record, qor = _run_phase(
-            name, cells, phase_cache, phase_jobs, progress=emitter,
-            executor=phase_executor,
+            name, cells, phase_cache, phase_jobs, progress=emitter
         )
         if reuse is not None:
             record["pool_reuse"] = reuse
@@ -371,7 +356,7 @@ def run_bench_perf(
             "circuits": [net.name for net in networks],
             "ks": list(ks),
             "mappers": list(mappers),
-            "jobs": max(2, jobs),
+            "jobs": jobs,
             "cpu_count": os.cpu_count(),
             "cpu_affinity": affinity,
             "sched_getaffinity": sched,
@@ -410,7 +395,7 @@ def render_bench_perf(result: dict) -> str:
             result["config"]["ks"],
         )
     ]
-    canonical = ("serial_uncached", "cold_cache", "warm_cache", "parallel")
+    canonical = ("serial_uncached", "cold_cache", "warm_cache")
     matrix_names = [row["phase"] for row in result.get("matrix", [])]
     for name in list(canonical) + matrix_names:
         phase = result["phases"][name]
@@ -422,9 +407,8 @@ def render_bench_perf(result: dict) -> str:
                 100.0 * phase["cache"]["hit_rate"],
             )
         if phase.get("jobs", 1) > 1:
-            extra = "  (jobs=%d, %s executor%s)" % (
+            extra = "  (jobs=%d%s)" % (
                 phase["jobs"],
-                phase.get("executor", "thread"),
                 ""
                 if "pool_reuse" not in phase
                 else (", warm pool" if phase["pool_reuse"] else ", cold pool"),
@@ -438,14 +422,13 @@ def render_bench_perf(result: dict) -> str:
         if workers:
             lines.append(
                 "  %-22s %d tasks: %.3fs compute, %.3fs queue wait, "
-                "%d pickled bytes (%s executor)"
+                "%d pickled bytes"
                 % (
                     "",
                     workers["tasks"],
                     workers["compute_seconds"],
                     workers["queue_wait_seconds"],
                     workers["pickle_bytes"],
-                    workers["executor"],
                 )
             )
     jobs = result["config"]["jobs"]
@@ -454,8 +437,8 @@ def render_bench_perf(result: dict) -> str:
         cores = result["config"].get("cpu_count")
     if isinstance(cores, int) and jobs > cores:
         lines.append(
-            "  WARNING: parallel phase ran jobs=%d on %d schedulable "
-            "core(s); workers time-slice one core, so speedup <= 1.0x "
+            "  WARNING: matrix legs ran jobs=%d on %d schedulable "
+            "core(s); workers time-slice the cores, so speedup <= 1.0x "
             "measures overhead, not scaling" % (jobs, cores)
         )
     gate = result["gate"]

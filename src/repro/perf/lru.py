@@ -7,10 +7,9 @@ process-wide metrics registry (:mod:`repro.obs.metrics`), so cache
 behaviour shows up in ``chortle profile`` and in benchmark exports
 without any extra plumbing.
 
-The lock makes ``get``/``put`` safe from the worker threads of a
-parallel mapping run; the critical sections are a couple of dict
-operations, so contention is negligible next to the DP work the cache
-is saving.
+The lock makes ``get``/``put`` safe when a library caller maps from its
+own threads; the critical sections are a couple of dict operations, so
+contention is negligible next to the DP work the cache is saving.
 """
 
 from __future__ import annotations

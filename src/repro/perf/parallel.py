@@ -26,9 +26,17 @@ and whole suites.
 
 Worker functions live at module top level so they pickle under the
 ``spawn`` start method.  Workers count into their own process-local
-metrics registry; per-cell counter/timing attribution still works
-because each worker measures its own cell and ships the deltas home in
-the report dict.
+metrics registry and send the counts home: a tree chunk returns its
+whole counter delta, which the parent adds to its own registry, while a
+suite cell's counters already ride home in its report dict.
+
+**Spans.**  When the parent's tracer has a sink at submit time, the
+payload carries a trace flag; the worker then captures the spans it
+finishes (one ``chortle.map_tree`` per tree, or a cell's ``bench.run``
+tree) and returns them with its result, and the parent re-numbers and
+attaches them under the submitting span
+(:meth:`~repro.obs.tracer.Tracer.adopt`).  With no sink, nothing is
+captured or shipped.
 
 **Telemetry.**  Every fan-out attributes where worker time went, so a
 disappointing speedup can be explained instead of guessed at.  Each
@@ -39,8 +47,7 @@ submitted work unit records:
   on Linux, hence comparable across local processes; negative skew is
   clamped to zero);
 * *task seconds* — in-worker compute time for the unit;
-* *pickle bytes* — the serialized size of the submitted payload, i.e.
-  the per-unit cost the process pool pays that threads do not (now a
+* *pickle bytes* — the serialized size of the submitted payload (a
   token-sized constant, not the subject network);
 * *subject misses* — tasks resubmitted with a subject blob because a
   worker predated the subject's registration;
@@ -57,12 +64,14 @@ buckets via :func:`worker_buckets`.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import pickle
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.network.network import BooleanNetwork
-from repro.obs import metrics
+from repro.obs import capture, get_tracer, metrics
+from repro.obs.tracer import SpanRecord
 from repro.perf.pool import (
     get_pool,
     register_subject,
@@ -90,10 +99,9 @@ def _chunk_round_robin(n: int, jobs: int) -> List[List[int]]:
 
 
 def _worker_telemetry(
-    submitted_at: float, started_at: float, counters_before: Dict[str, int]
+    submitted_at: float, started_at: float, delta: Dict[str, int]
 ) -> Dict[str, float]:
     """Built inside a worker when its unit finishes; shipped to the parent."""
-    delta = metrics.counter_delta(counters_before)
     telemetry: Dict[str, float] = {
         "queue_wait": max(0.0, started_at - submitted_at),
         "task_seconds": time.perf_counter() - started_at,
@@ -122,16 +130,7 @@ def record_worker_telemetry(
     metrics.observe("perf.parallel.task_seconds", telemetry["task_seconds"])
 
 
-def record_task_telemetry(queue_wait: float, task_seconds: float) -> None:
-    """The thread-executor variant: no pickling, no remote registry."""
-    record_worker_telemetry(
-        {"queue_wait": queue_wait, "task_seconds": task_seconds}
-    )
-
-
-def worker_buckets(
-    delta: Dict[str, int], jobs: int, executor: str
-) -> Dict[str, object]:
+def worker_buckets(delta: Dict[str, int], jobs: int) -> Dict[str, object]:
     """Summarize a ``perf.parallel.*`` counter delta into named buckets.
 
     The bench-perf harness records this as the parallel phase's
@@ -140,7 +139,6 @@ def worker_buckets(
     """
     buckets: Dict[str, object] = {
         "jobs": jobs,
-        "executor": executor,
         "tasks": delta.get("perf.parallel.tasks", 0),
         "compute_seconds": round(
             delta.get("perf.parallel.task_us", 0) / 1e6, 4
@@ -168,6 +166,16 @@ def _submit_with_bytes(pool, fn, payload) -> Tuple[object, int]:
     return future, len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
 
+@contextlib.contextmanager
+def _shipped_spans(trace: bool) -> Iterator[List[SpanRecord]]:
+    """Worker side: the spans finished in the block, when ``trace`` is set."""
+    if not trace:
+        yield []
+        return
+    with capture() as sink:
+        yield sink.records
+
+
 # -- tree-level workers ------------------------------------------------------
 
 #: Worker-side cache: subject token -> (forest, per-tree topo orders).
@@ -188,7 +196,11 @@ def _worker_forest(token: str, net) -> tuple:
 
 
 def _map_tree_chunk(payload: tuple):
-    """Map one chunk of forest trees inside a worker process."""
+    """Map one chunk of forest trees inside a worker process.
+
+    Returns ``(results, telemetry, counter delta, spans)``; the delta
+    covers tree mapping only, since the parent builds its own forest.
+    """
     started_at = time.perf_counter()
     (
         token,
@@ -196,24 +208,39 @@ def _map_tree_chunk(payload: tuple):
         k,
         split_threshold,
         indices,
+        worker,
         use_shared_cache,
+        trace,
         submitted_at,
     ) = payload
+    from repro.core.chortle import map_one_tree
     from repro.core.tree_mapper import TreeMapper
     from repro.perf.memo import get_cache
 
     net = resolve_subject(token, blob)
     if net is None:
         return _MISS, token
-    counters_before = metrics.counters()
     forest, orders = _worker_forest(token, net)
+    counters_before = metrics.counters()
     cache = get_cache() if use_shared_cache else None
     mapper = TreeMapper(k, split_threshold=split_threshold, cache=cache)
-    results = [
-        (index, mapper.map_tree(net, forest.trees[index], order=orders[index]))
-        for index in indices
-    ]
-    return results, _worker_telemetry(submitted_at, started_at, counters_before)
+    with _shipped_spans(trace) as spans:
+        results = [
+            (
+                index,
+                map_one_tree(
+                    mapper, net, forest.trees[index], orders[index], worker
+                ),
+            )
+            for index in indices
+        ]
+    delta = metrics.counter_delta(counters_before)
+    return (
+        results,
+        _worker_telemetry(submitted_at, started_at, delta),
+        delta,
+        spans,
+    )
 
 
 def map_trees_processes(
@@ -229,41 +256,44 @@ def map_trees_processes(
     ``net`` must already be swept.  The network is registered with the
     shared pool's subject registry and payloads carry only its token;
     workers that predate the registration miss once and are resent the
-    pickled subject.  Each worker keeps its own process-local memo cache
-    when ``use_shared_cache`` is set — processes cannot share the
-    parent's in-memory cache, but repeated shapes still hit, and the
-    traffic comes home as ``perf.parallel.cache_*`` counters.
+    pickled subject.  Chunk ``w`` holds the trees whose index is ``w``
+    modulo ``jobs`` and tags their spans ``worker=w``.  Each worker keeps
+    its own process-local memo cache when ``use_shared_cache`` is set —
+    processes cannot share the parent's in-memory cache, but repeated
+    shapes still hit, and the traffic comes home as counters.  Call this
+    inside the span the trees' spans should be attached under.
     """
     token = register_subject(net)
     pool = get_pool(jobs)
-    chunks = _chunk_round_robin(num_trees, jobs)
+    tracer = get_tracer()
+    trace = tracer.enabled
     results: List[object] = [None] * num_trees
-    pending = []
-    for chunk in chunks:
+
+    def submit(worker: int, chunk: List[int], blob: Optional[bytes]):
         payload = (
-            token, None, k, split_threshold, chunk, use_shared_cache,
-            time.perf_counter(),
+            token, blob, k, split_threshold, chunk, worker, use_shared_cache,
+            trace, time.perf_counter(),
         )
-        pending.append(
-            _submit_with_bytes(pool, _map_tree_chunk, payload) + (chunk,)
-        )
+        future, nbytes = _submit_with_bytes(pool, _map_tree_chunk, payload)
+        return future, nbytes, worker, chunk
+
+    pending = [
+        submit(worker, chunk, None)
+        for worker, chunk in enumerate(_chunk_round_robin(num_trees, jobs))
+    ]
     while pending:
         retries = []
-        for future, payload_bytes, chunk in pending:
+        for future, payload_bytes, worker, chunk in pending:
             outcome = future.result()
             if outcome[0] == _MISS:
                 metrics.count("perf.parallel.subject_miss")
-                payload = (
-                    token, subject_blob(token), k, split_threshold, chunk,
-                    use_shared_cache, time.perf_counter(),
-                )
-                retries.append(
-                    _submit_with_bytes(pool, _map_tree_chunk, payload)
-                    + (chunk,)
-                )
+                retries.append(submit(worker, chunk, subject_blob(token)))
                 continue
-            chunk_results, telemetry = outcome
+            chunk_results, telemetry, counters, spans = outcome
             record_worker_telemetry(telemetry, pickle_bytes=payload_bytes)
+            for name, value in counters.items():
+                metrics.count(name, value)
+            tracer.adopt(spans)
             for index, cand in chunk_results:
                 results[index] = cand
         pending = retries
@@ -274,7 +304,11 @@ def map_trees_processes(
 
 
 def _run_suite_cell(payload: tuple):
-    """Run one (circuit, K, mapper) benchmark cell inside a worker."""
+    """Run one (circuit, K, mapper) benchmark cell inside a worker.
+
+    Returns ``(report dict, telemetry, spans)``; the cell's counters
+    travel in the report dict.
+    """
     started_at = time.perf_counter()
     (
         token,
@@ -283,7 +317,7 @@ def _run_suite_cell(payload: tuple):
         mapper_name,
         verify,
         use_cache,
-        mapper_opts,
+        trace,
         submitted_at,
     ) = payload
     from repro.bench.runner import run_one_cell
@@ -292,17 +326,19 @@ def _run_suite_cell(payload: tuple):
     if net is None:
         return _MISS, token
     counters_before = metrics.counters()
-    report = run_one_cell(
-        net,
-        k,
-        mapper_name,
-        verify=verify,
-        cache=use_cache,
-        mapper_opts=mapper_opts,
-    )
+    with _shipped_spans(trace) as spans:
+        report = run_one_cell(
+            net,
+            k,
+            mapper_name,
+            verify=verify,
+            cache=use_cache,
+        )
+    delta = metrics.counter_delta(counters_before)
     return (
         report.to_dict(),
-        _worker_telemetry(submitted_at, started_at, counters_before),
+        _worker_telemetry(submitted_at, started_at, delta),
+        spans,
     )
 
 
@@ -311,7 +347,6 @@ def run_cells_processes(
     jobs: int,
     verify: bool = False,
     use_cache: bool = False,
-    mapper_opts: Optional[Dict[str, object]] = None,
     on_result: Optional[Callable[[int, dict], None]] = None,
 ) -> List[dict]:
     """Report dicts for every cell, in the order the cells were given.
@@ -323,20 +358,22 @@ def run_cells_processes(
     ``MappingReport.to_dict()`` payloads; the caller turns them back
     into reports.  ``on_result(cell_index, report_dict)`` is invoked as
     each cell *completes* (completion order, not submission order) —
-    the hook progress streaming hangs off.
+    the hook progress streaming hangs off.  Call this inside the span
+    the cells' ``bench.run`` spans should be attached under.
     """
     jobs = min(jobs, len(cells)) or 1
     # Register every subject before the pool spins up: freshly-forked
     # workers inherit the whole registry, so no cell pays a miss-retry.
     tokens = [register_subject(net) for net, _k, _mapper in cells]
     pool = get_pool(jobs)
-    opts = mapper_opts or {}
+    tracer = get_tracer()
+    trace = tracer.enabled
 
     def cell_payload(index: int, blob: Optional[bytes]) -> tuple:
         _net, k, mapper_name = cells[index]
         return (
-            tokens[index], blob, k, mapper_name, verify, use_cache,
-            opts, time.perf_counter(),
+            tokens[index], blob, k, mapper_name, verify, use_cache, trace,
+            time.perf_counter(),
         )
 
     futures: Dict[object, int] = {}
@@ -367,10 +404,11 @@ def run_cells_processes(
                 futures[retry] = index
                 payload_bytes[index] += nbytes
                 continue
-            row, telemetry = outcome
+            row, telemetry, spans = outcome
             record_worker_telemetry(
                 telemetry, pickle_bytes=payload_bytes[index]
             )
+            tracer.adopt(spans)
             rows[index] = row
             if on_result is not None:
                 on_result(index, row)

@@ -21,6 +21,11 @@ registry instead of through payloads:
   life.  Every subject is pickled at most once per worker, instead of
   once per chunk.
 
+Under either start method the initializer also resets the worker's
+tracer: a forked worker would otherwise inherit the parent's trace sinks
+and open spans.  Worker spans reach the parent's trace only when the
+parent asks for them (see :mod:`repro.perf.parallel`).
+
 Because workers are long-lived, their process-local memo caches
 (:func:`repro.perf.memo.get_cache`) survive across cells and suites —
 a cold suite run self-warms as structurally repeating shapes recur.
@@ -39,7 +44,7 @@ import multiprocessing
 import pickle
 from typing import Dict, Optional
 
-from repro.obs import metrics
+from repro.obs import get_tracer, metrics
 
 __all__ = [
     "WorkerPool",
@@ -113,8 +118,13 @@ def resolve_subject(token: str, blob: Optional[bytes]) -> Optional[object]:
     return None
 
 
-def _seed_worker(snapshot: Dict[str, object]) -> None:
-    """Spawn-pool initializer: install the registry snapshot."""
+def _init_worker(snapshot: Dict[str, object]) -> None:
+    """Pool initializer: a clean tracer, then the registry snapshot.
+
+    Fork workers get an empty snapshot (they inherited the registry);
+    spawn workers get the registry as it stood at pool creation.
+    """
+    get_tracer().reset()
     _SUBJECTS.update(snapshot)
 
 
@@ -128,20 +138,15 @@ class WorkerPool:
         self.jobs = jobs
         self.start_method = start_method or pool_start_method()
         self.broken = False
-        ctx = multiprocessing.get_context(self.start_method)
-        if self.start_method == "fork":
-            # Workers fork lazily at first submit and inherit _SUBJECTS
-            # by memory image; no initializer needed.
-            self.executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=ctx
-            )
-        else:
-            self.executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=ctx,
-                initializer=_seed_worker,
-                initargs=(dict(_SUBJECTS),),
-            )
+        # Fork workers fork lazily at submit and inherit _SUBJECTS by
+        # memory image; spawn workers start empty and need the snapshot.
+        snapshot = {} if self.start_method == "fork" else dict(_SUBJECTS)
+        self.executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context(self.start_method),
+            initializer=_init_worker,
+            initargs=(snapshot,),
+        )
         metrics.count("perf.pool.created")
 
     def submit(self, fn, *args) -> concurrent.futures.Future:

@@ -332,7 +332,8 @@ class TestPerfCommands:
         saved = json.loads(record.read_text())
         assert saved["label"] == "test"
         assert {
-            "serial_uncached", "cold_cache", "warm_cache", "parallel",
+            "serial_uncached", "cold_cache", "warm_cache",
+            "parallel_proc_j2_reuse",
         } <= set(saved["phases"])
 
     def test_gate_passes_on_unchanged_record(self, perf_artifacts, capsys):

@@ -161,14 +161,17 @@ class TestCutMapper:
         assert depth.depth() == FlowMapper(k=4).optimal_depth(net)
 
     def test_cache_and_jobs_are_bit_identical(self):
+        from repro.flow.mappers import resolve_mapper
+
         net = make_random_network(55, num_inputs=8, num_gates=30)
         plain = write_lut_circuit(CutMapper(k=4).map(net))
         cached = write_lut_circuit(
             CutMapper(k=4, cache=NodeTableCache(maxsize=256)).map(net)
         )
-        threaded = write_lut_circuit(CutMapper(k=4, jobs=4).map(net))
+        # cutmap ignores jobs, like every mapper but chortle.
+        jobs = write_lut_circuit(resolve_mapper("cutmap", 4, jobs=4).map(net))
         assert cached == plain
-        assert threaded == plain
+        assert jobs == plain
 
     def test_cache_is_reused_across_calls(self):
         net = make_random_network(66, num_inputs=8, num_gates=25)

@@ -50,20 +50,22 @@ class TestRecordingIdentity:
     def test_records_identical_serial_parallel_and_warm_cache(self):
         for seed in range(4):
             net = make_random_network(seed, num_gates=14)
-            _, serial = explain_json(net, k=4)
-            _, threaded = explain_json(net, k=4, jobs=2)
+            recorded, serial = explain_json(net, k=4)
             cache = NodeTableCache()
             _, cold = explain_json(net, k=4, cache=cache)
             _, warm = explain_json(net, k=4, cache=cache)
-            assert threaded == serial
             assert cold == serial  # recording bypasses the cache entirely
             assert warm == serial
+            # Recording is serial-only; the parallel circuit still matches.
+            parallel = ChortleMapper(k=4, jobs=2).map(net)
+            assert write_lut_circuit(parallel) == recorded
 
     def test_process_executor_rejects_recorder(self):
-        with pytest.raises(MappingError):
-            ChortleMapper(
-                k=4, recorder=DecisionRecorder(), executor="process", jobs=2
-            )
+        # Worker processes cannot stream decisions back: recording needs
+        # jobs=1, and jobs=None (one worker per CPU) is rejected too.
+        for jobs in (2, None):
+            with pytest.raises(MappingError):
+                ChortleMapper(k=4, recorder=DecisionRecorder(), jobs=jobs)
 
 
 class TestExplanationContent:

@@ -647,6 +647,19 @@ def test_cli_lint_cell(capsys):
     assert "lint:" in capsys.readouterr().out
 
 
+def test_lint_suite_on_shared_pool_matches_serial():
+    from repro.analysis.suite import lint_suite
+    from repro.obs import metrics
+
+    serial = lint_suite(["count", "9symml"], ks=(3, 4))
+    before = metrics.counters()
+    parallel = lint_suite(["count", "9symml"], ks=(3, 4), jobs=2)
+    delta = metrics.counter_delta(before)
+    assert serial and parallel == serial  # same findings, same order
+    pools = delta.get("perf.pool.created", 0) + delta.get("perf.pool.reused", 0)
+    assert pools == 1
+
+
 def test_cli_map_lint_flag(tmp_path, capsys):
     from repro.blif import write_network
 

@@ -62,6 +62,36 @@ class TestSpans:
         assert a.parent_id == b.parent_id == root.span_id
         assert a.start <= b.start
 
+    def test_adopt_renumbers_and_attaches_under_open_span(self):
+        worker = Tracer()
+        shipped = worker.add_sink(MemorySink())
+        with worker.span("w.root", worker=1):
+            with worker.span("w.leaf"):
+                pass
+        parent = Tracer()
+        sink = parent.add_sink(MemorySink())
+        with parent.span("top"):
+            with parent.span("submit") as submit:
+                parent.adopt(shipped.records)
+        leaf, root = sink.by_name("w.leaf")[0], sink.by_name("w.root")[0]
+        assert root.parent_id == submit.span_id and root.depth == 2
+        assert leaf.parent_id == root.span_id and leaf.depth == 3
+        assert root.attrs == {"worker": 1}
+        ids = [r.span_id for r in sink.records]
+        assert len(ids) == len(set(ids)) == 4
+
+    def test_reset_drops_sinks_and_open_spans(self):
+        tracer = Tracer()
+        tracer.add_sink(MemorySink())
+        tracer.span("left.open").__enter__()  # never finished
+        tracer.reset()
+        assert not tracer.enabled
+        sink = tracer.add_sink(MemorySink())
+        with tracer.span("fresh"):
+            pass
+        assert sink.records[0].parent_id is None
+        assert sink.records[0].depth == 0
+
     def test_null_span_when_no_sink(self):
         tracer = Tracer()
         sp = tracer.span("anything", k=4)
@@ -396,8 +426,8 @@ class TestConcurrency:
             assert inner.depth == 1
 
     def test_global_metrics_registry_under_mapping_pool(self):
-        # End to end: parallel tree mapping writes shared counters from
-        # pool threads; the delta must equal the serial run's.
+        # End to end: parallel tree mapping counts into the shared
+        # registry; the delta must equal the serial run's.
         net = mcnc_circuit("count")
         before = metrics.counters()
         ChortleMapper(k=4).map(net)

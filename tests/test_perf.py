@@ -1,10 +1,10 @@
 """Tests for the performance layer: memo cache, parallel mapping, bench-perf.
 
 The load-bearing property throughout is *bit-identity*: every perf
-configuration (cached, warm, threaded, process pool) must emit exactly
-the circuit the plain serial mapper emits — same costs, same depths,
-same LUT functions, same BLIF text.  A cache or a thread pool that
-changes results is a correctness bug wearing a performance hat.
+configuration (cached, warm, process pool) must emit exactly the
+circuit the plain serial mapper emits — same costs, same depths, same
+LUT functions, same BLIF text.  A cache or a worker pool that changes
+results is a correctness bug wearing a performance hat.
 """
 
 import json
@@ -157,20 +157,18 @@ class TestBitIdentity:
         for k in (2, 3, 4, 5):
             assert mapped_text(net, k=k, cache=cache) == mapped_text(net, k=k)
 
-    def test_thread_parallel_matches(self):
+    def test_process_parallel_matches(self):
         for seed in self.SEEDS:
             net = make_random_network(seed, num_gates=18)
             assert mapped_text(net, jobs=2) == mapped_text(net)
+        net = make_random_network(1, num_gates=24)
+        assert mapped_text(net, jobs=2) == mapped_text(net)
 
-    def test_thread_parallel_with_cache_matches(self):
+    def test_process_parallel_with_cache_matches(self):
         cache = NodeTableCache()
         for seed in self.SEEDS:
             net = make_random_network(seed, num_gates=18)
             assert mapped_text(net, jobs=2, cache=cache) == mapped_text(net)
-
-    def test_process_parallel_matches(self):
-        net = make_random_network(1, num_gates=24)
-        assert mapped_text(net, jobs=2, executor="process") == mapped_text(net)
 
     def test_tiny_cache_evicts_but_stays_correct(self):
         # A pathologically small cache thrashes (hits *and* evictions)
@@ -180,12 +178,6 @@ class TestBitIdentity:
             net = make_random_network(seed, num_gates=18)
             assert mapped_text(net, cache=cache) == mapped_text(net)
         assert cache.evictions > 0
-
-    def test_rejects_unknown_executor(self):
-        from repro.errors import MappingError
-
-        with pytest.raises(MappingError):
-            ChortleMapper(k=4, executor="fiber")
 
 
 class TestDiskCache:
@@ -260,6 +252,122 @@ class TestSuiteParallel:
         assert result.reports[0].wall_seconds >= 0.0
 
 
+class TestWorkerSpans:
+    """Worker processes send their spans and counters home."""
+
+    def test_tree_spans_and_counters_match_serial(self):
+        from repro.bench.mcnc import mcnc_circuit
+        from repro.core.forest import build_forest
+        from repro.network.transform import sweep
+        from repro.obs import capture
+
+        net = mcnc_circuit("apex7")
+
+        def traced_map(jobs):
+            before = metrics.counters()
+            with capture() as sink:
+                ChortleMapper(k=4, jobs=jobs).map(net)
+            delta = metrics.counter_delta(before)
+            chortle = {k: v for k, v in delta.items() if k.startswith("chortle.")}
+            return sink, chortle
+
+        serial, serial_counts = traced_map(1)
+        par, par_counts = traced_map(2)
+        trees = par.by_name("chortle.map_tree")
+        (parallel,) = par.by_name("chortle.parallel")
+        assert len(trees) == len(build_forest(sweep(net)).trees)
+        assert all(t.parent_id == parallel.span_id for t in trees)
+        assert all(t.depth == parallel.depth + 1 for t in trees)
+        ids = [r.span_id for r in par.records]
+        assert len(ids) == len(set(ids))
+
+        def tree_luts(sink):
+            return sorted(
+                (r.attrs["tree"], r.attrs["luts"])
+                for r in sink.by_name("chortle.map_tree")
+            )
+
+        assert tree_luts(par) == tree_luts(serial)
+        assert {t.attrs["worker"] for t in trees} == {0, 1}
+        assert par_counts["chortle.minmap_entries"] > 0
+        assert par_counts == serial_counts
+
+    def test_suite_spans_unique_whichever_forks_first(self, tmp_path):
+        # Forked workers used to inherit the parent's sinks and open
+        # spans: forking after the sink was attached wrote duplicate span
+        # ids into the trace, forking before it lost every worker span.
+        from repro.bench.runner import run_suite
+        from repro.obs import get_tracer
+        from repro.obs.tracer import JsonLinesSink
+        from repro.perf.pool import reset_pool
+
+        def suite():
+            run_suite(["9symml", "count"], mappers=("chortle",), ks=(3, 4),
+                      jobs=2)
+
+        def traced(fork_first):
+            reset_pool()
+            if fork_first:
+                suite()
+            path = tmp_path / ("trace_%d.jsonl" % fork_first)
+            sink = get_tracer().add_sink(JsonLinesSink(str(path)))
+            try:
+                suite()
+            finally:
+                get_tracer().remove_sink(sink)
+                sink.close()
+            return [json.loads(line) for line in path.read_text().splitlines()]
+
+        runs = {fork_first: traced(fork_first) for fork_first in (False, True)}
+        reset_pool()
+        for records in runs.values():
+            ids = [r["span_id"] for r in records]
+            assert len(ids) == len(set(ids))
+            (suite_span,) = [r for r in records if r["name"] == "bench.suite"]
+            cells = [r for r in records if r["name"] == "bench.run"]
+            assert len(cells) == 4
+            assert all(r["parent_id"] == suite_span["span_id"] for r in cells)
+
+        def names(records):
+            return {r["name"] for r in records}
+
+        def trees(records):
+            return sum(r["name"] == "chortle.map_tree" for r in records)
+
+        assert names(runs[False]) == names(runs[True])
+        assert trees(runs[False]) == trees(runs[True]) > 0
+
+
+def _probe_worker(token):
+    """Pool task: the worker's tracer state and its view of a subject."""
+    from repro.obs import get_tracer
+    from repro.perf.pool import resolve_subject
+
+    tracer = get_tracer()
+    return tracer.enabled, len(tracer._stack), resolve_subject(token, None).name
+
+
+class TestWorkerInit:
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_start_with_clean_tracer_and_registry(self, method):
+        import multiprocessing
+
+        from repro.obs import capture, span
+        from repro.perf.pool import WorkerPool, register_subject
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip("%s start method unavailable" % method)
+        net = make_random_network(0, num_gates=6)
+        token = register_subject(net)
+        with capture(), span("parent.open"):
+            pool = WorkerPool(1, start_method=method)
+            try:
+                probe = pool.submit(_probe_worker, token).result(timeout=120)
+            finally:
+                pool.shutdown()
+        assert probe == (False, 0, net.name)
+
+
 class TestBenchPerf:
     @pytest.fixture(scope="class")
     def payload(self, tmp_path_factory):
@@ -275,9 +383,8 @@ class TestBenchPerf:
 
     def test_phases_and_speedups(self, payload):
         phases = payload["phases"]
-        assert {
-            "serial_uncached", "cold_cache", "warm_cache", "parallel",
-        } <= set(phases)
+        assert {"serial_uncached", "cold_cache", "warm_cache"} <= set(phases)
+        assert "parallel" not in phases  # the thread phase is gone
         assert phases["serial_uncached"]["speedup_vs_serial"] == 1.0
         for record in phases.values():
             assert record["seconds"] >= 0.0
@@ -296,8 +403,21 @@ class TestBenchPerf:
         for row in rows:
             phase = payload["phases"][row["phase"]]
             assert phase["seconds"] == row["seconds"]
-            if row["jobs"] > 1:
-                assert phase["executor"] == "process"
+            assert ("workers" in phase) is (row["jobs"] > 1)
+
+    def test_history_gates_parallel_vs_serial(self, payload):
+        # The trend gate reads the warm two-worker leg; the committed
+        # history's newest record and a fresh payload both carry it.
+        from repro.obs.perfdiff import diff_perf_records
+        from repro.obs.perfrec import DEFAULT_HISTORY_PATH, PerfHistory, PerfRecord
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        history = PerfHistory.load(os.path.join(root, DEFAULT_HISTORY_PATH))
+        diff = diff_perf_records(
+            history.latest(), PerfRecord.from_bench(payload)
+        )
+        rows = [c for c in diff.cells if c.metric == "parallel_vs_serial"]
+        assert len(rows) == 1 and rows[0].gated
 
     def test_parallel_gate_verdict(self, payload):
         verdict = payload["gate"]["parallel"]
@@ -333,6 +453,11 @@ class TestBenchPerf:
         cores = _parallel_gate(phases(big, 1.6), affinity=1)
         assert cores["status"] == "skipped (insufficient cores)"
         assert cores["ok"] is None
+        no_legs = phases(big, 1.6)
+        del no_legs["parallel_proc_j2_reuse"]  # a --no-matrix run
+        no_legs = _parallel_gate(no_legs, affinity=4)
+        assert no_legs["status"] == "skipped (no parallel legs)"
+        assert no_legs["ok"] is None
         small = _parallel_gate(phases(_PARALLEL_MIN_SERIAL_S / 2, 1.6), 4)
         assert small["status"] == "skipped (workload below floor)"
         assert small["ok"] is None
@@ -407,9 +532,7 @@ class TestWorkerTelemetry:
         record_worker_telemetry(
             {"queue_wait": 0.25, "task_seconds": 0.75}, pickle_bytes=1024
         )
-        buckets = worker_buckets(
-            metrics.counter_delta(before), jobs=2, executor="process"
-        )
+        buckets = worker_buckets(metrics.counter_delta(before), jobs=2)
         assert buckets["tasks"] == 2
         assert buckets["compute_seconds"] == pytest.approx(2.0, abs=1e-4)
         assert buckets["queue_wait_seconds"] == pytest.approx(0.75, abs=1e-4)
@@ -418,21 +541,7 @@ class TestWorkerTelemetry:
             "hits": 7, "misses": 3, "evictions": 0,
         }
 
-    def test_thread_variant_reports_zero_pickle(self):
-        from repro.perf.parallel import (
-            record_task_telemetry,
-            worker_buckets,
-        )
-
-        before = metrics.counters()
-        record_task_telemetry(queue_wait=0.1, task_seconds=0.2)
-        buckets = worker_buckets(
-            metrics.counter_delta(before), jobs=2, executor="thread"
-        )
-        assert buckets["pickle_bytes"] == 0
-        assert "worker_cache" not in buckets
-
-    def test_thread_parallel_map_emits_telemetry(self):
+    def test_parallel_map_emits_telemetry(self):
         net = make_random_network(4, num_gates=40)
         before = metrics.counters()
         ChortleMapper(k=4, jobs=2).map(net)
@@ -446,13 +555,12 @@ class TestWorkerTelemetry:
         payload = run_bench_perf(
             circuits=["9symml"], ks=(3,), jobs=2, created_at="t"
         )
-        workers = payload["phases"]["parallel"]["workers"]
+        workers = payload["phases"]["parallel_proc_j2_reuse"]["workers"]
         # The >=3 attribution buckets the acceptance criteria name.
         assert workers["tasks"] > 0
         assert workers["compute_seconds"] > 0.0
         assert workers["queue_wait_seconds"] >= 0.0
-        assert workers["pickle_bytes"] == 0  # thread executor: zero-copy
-        assert workers["executor"] == "thread"
+        assert workers["pickle_bytes"] > 0  # token-sized payloads
         # Serial phases carry no worker block.
         assert "workers" not in payload["phases"]["serial_uncached"]
         # Environment captures both core counts (the satellite fix).
@@ -470,11 +578,8 @@ class TestWorkerTelemetry:
                 "cpu_count": 2, "cpu_affinity": 2,
             },
             "phases": {
-                name: {"seconds": 1.0, "speedup_vs_serial": 1.0,
-                       "jobs": 4 if name == "parallel" else 1}
-                for name in (
-                    "serial_uncached", "cold_cache", "warm_cache", "parallel",
-                )
+                name: {"seconds": 1.0, "speedup_vs_serial": 1.0, "jobs": 1}
+                for name in ("serial_uncached", "cold_cache", "warm_cache")
             },
             "qor_identical": True,
             "gate": {"pass": True},
@@ -493,11 +598,8 @@ class TestWorkerTelemetry:
                 "cpu_count": 8, "cpu_affinity": 8,
             },
             "phases": {
-                name: {"seconds": 1.0, "speedup_vs_serial": 1.0,
-                       "jobs": 2 if name == "parallel" else 1}
-                for name in (
-                    "serial_uncached", "cold_cache", "warm_cache", "parallel",
-                )
+                name: {"seconds": 1.0, "speedup_vs_serial": 1.0, "jobs": 1}
+                for name in ("serial_uncached", "cold_cache", "warm_cache")
             },
             "qor_identical": True,
             "gate": {"pass": True},
@@ -773,13 +875,10 @@ class TestDeepChains:
         net = _deep_chain(self.CHAIN)
         plain = mapped_text(net, k=4)
         assert plain == mapped_text(net, k=4, cache=NodeTableCache())
-        assert plain == mapped_text(net, k=4, jobs=2)
 
     def test_chortle_deep_chain_process_pool(self):
         net = _deep_chain(self.CHAIN)
-        assert mapped_text(net, k=4, jobs=2, executor="process") == mapped_text(
-            net, k=4
-        )
+        assert mapped_text(net, k=4, jobs=2) == mapped_text(net, k=4)
 
     @pytest.mark.parametrize("name", ["binpack", "flowmap", "mis",
                                       "depthbounded", "cutmap"])

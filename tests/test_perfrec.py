@@ -16,6 +16,7 @@ from repro.obs.perfdiff import (
     render_trend,
 )
 from repro.obs.perfrec import (
+    PARALLEL_PHASE,
     PHASE_NAMES,
     PerfHistory,
     PerfRecord,
@@ -39,10 +40,10 @@ def make_record(
         "serial_uncached": {"seconds": serial, "jobs": 1},
         "cold_cache": {"seconds": cold, "jobs": 1},
         "warm_cache": {"seconds": warm, "jobs": 1},
-        "parallel": {"seconds": parallel, "jobs": jobs},
+        PARALLEL_PHASE: {"seconds": parallel, "jobs": jobs},
     }
     if workers is not None:
-        phases["parallel"]["workers"] = workers
+        phases[PARALLEL_PHASE]["workers"] = workers
     return PerfRecord(
         created_at=created_at,
         environment={
@@ -237,7 +238,6 @@ class TestPerfDiff:
     def test_markdown_dashboard(self):
         workers = {
             "jobs": 2,
-            "executor": "thread",
             "tasks": 60,
             "compute_seconds": 0.3,
             "queue_wait_seconds": 1.4,
@@ -259,7 +259,6 @@ class TestParallelAttribution:
     def test_buckets_and_time_slice_verdict(self):
         workers = {
             "jobs": 2,
-            "executor": "thread",
             "tasks": 60,
             "compute_seconds": 0.3,
             "queue_wait_seconds": 1.4,
@@ -277,7 +276,6 @@ class TestParallelAttribution:
     def test_starvation_verdict_when_cores_suffice(self):
         workers = {
             "jobs": 2,
-            "executor": "thread",
             "tasks": 60,
             "compute_seconds": 0.3,
             "queue_wait_seconds": 1.4,
@@ -292,7 +290,6 @@ class TestParallelAttribution:
     def test_serialization_verdict(self):
         workers = {
             "jobs": 2,
-            "executor": "process",
             "tasks": 4,
             "compute_seconds": 1.0,
             "queue_wait_seconds": 0.1,
@@ -306,7 +303,7 @@ class TestParallelAttribution:
 
     def test_no_parallel_phase(self):
         record = make_record()
-        del record.phases["parallel"]
+        del record.phases[PARALLEL_PHASE]
         assert parallel_attribution(record) == []
 
 

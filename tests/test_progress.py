@@ -159,9 +159,7 @@ class TestSuiteIntegration:
         )
         assert payload["qor_identical"] is True
         # One started+finished pair per cell per phase.
-        assert emitter.total == 4
+        assert emitter.total == 3
         phases = {e.phase for e in events}
-        assert phases == {
-            "serial_uncached", "cold_cache", "warm_cache", "parallel",
-        }
-        assert emitter.finished == 4
+        assert phases == {"serial_uncached", "cold_cache", "warm_cache"}
+        assert emitter.finished == 3
