@@ -157,10 +157,15 @@ class TestBitIdentity:
         for k in (2, 3, 4, 5):
             assert mapped_text(net, k=k, cache=cache) == mapped_text(net, k=k)
 
-    def test_process_parallel_matches(self):
+    def test_thread_parallel_matches(self):
+        # jobs > 1 always maps on the process pool; the name predates the
+        # thread executor's removal. This covers the small random nets,
+        # test_process_parallel_matches a larger one.
         for seed in self.SEEDS:
             net = make_random_network(seed, num_gates=18)
             assert mapped_text(net, jobs=2) == mapped_text(net)
+
+    def test_process_parallel_matches(self):
         net = make_random_network(1, num_gates=24)
         assert mapped_text(net, jobs=2) == mapped_text(net)
 
