@@ -9,7 +9,8 @@ mapping.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+import functools
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.network.network import AND, OR
 from repro.truth.truthtable import TruthTable
@@ -100,14 +101,37 @@ def evaluate(expr, values: Dict) -> bool:
 
 
 def to_truth_table(expr, key_order: Sequence) -> TruthTable:
-    """Truth table of the expression over the given leaf-key order."""
+    """Truth table of the expression over the given leaf-key order.
+
+    Bit-parallel: each key stands for its projection word (bit ``m`` is
+    the key's value on assignment ``m``), so one pass over the
+    expression with AND/OR/complement on whole words yields every row.
+    """
     n = len(key_order)
-    bits = 0
-    for m in range(1 << n):
-        values = {key: (m >> j) & 1 for j, key in enumerate(key_order)}
-        if evaluate(expr, values):
-            bits |= 1 << m
-    return TruthTable(n, bits)
+    words = dict(zip(key_order, _projection_words(n)))
+    return TruthTable(n, _eval_words(expr, words, (1 << (1 << n)) - 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _projection_words(n: int) -> Tuple[int, ...]:
+    return tuple(TruthTable.var(j, n).bits for j in range(n))
+
+
+def _eval_words(expr, words: Dict, ones: int) -> int:
+    if isinstance(expr, Leaf):
+        word = words[expr.key]
+        return word ^ ones if expr.inv else word
+    if isinstance(expr, NotExpr):
+        return _eval_words(expr.child, words, ones) ^ ones
+    children = iter(expr.children)
+    acc = _eval_words(next(children), words, ones)
+    if expr.op == AND:
+        for child in children:
+            acc &= _eval_words(child, words, ones)
+    else:
+        for child in children:
+            acc |= _eval_words(child, words, ones)
+    return acc
 
 
 def count_leaf_refs(expr) -> int:

@@ -424,27 +424,41 @@ class TreeMapper:
 
     # -- the subset DP ------------------------------------------------------------
     #
-    # The DP over fanin subsets is organized as two families of tables:
+    # The DP over fanin subsets keeps two families of tables, as flat lists
+    # indexed ``mask * (k+1) + u``:
     #
-    # * ``sub`` — per mask with >= 2 items, the node table of the virtual
-    #   node ``op(mask)``; only its at-most-K entry feeds other masks
-    #   (as an intermediate-node "wire" block), so strict-subset masks
-    #   materialize just that one candidate and the full table is built
-    #   only for the complete fanin set (the value returned).
-    # * ``F`` — per mask, the best ways to feed the mask's items into an
-    #   enclosing root table.  A mask is only ever read as the *rest* of
-    #   a larger mask after that mask's lowest-indexed item is peeled
-    #   off, so no readable mask contains item 0 — F tables for masks
-    #   with bit 0 set (half of them, including the full set) are never
-    #   computed, only their candidate counts are accounted.
+    # * the node table of the virtual node ``op(mask)``, per mask with >= 2
+    #   items.  Other masks read only its at-most-K entry, as an
+    #   intermediate-node "wire" block (``wires``), so the whole table is
+    #   built only for the complete fanin set (the value returned).
+    # * ``F[mask]`` — the best ways to feed the mask's items into an
+    #   enclosing root table using at most ``u`` of its inputs.  A mask is
+    #   read only as the *rest* of a larger mask once that mask's
+    #   lowest-indexed item is peeled off, so only masks without bit 0 have
+    #   an F table.  ``fmin[mask]`` is its lowest feasible ``u``; entries
+    #   stay feasible from there up to K.
     #
-    # Both tables are preallocated flat lists indexed ``mask * (k+1) + u``
-    # and the singleton options of every item (each with its precomputed
-    # placement depth) are enumerated once per node rather than once per
-    # mask.  The enumeration order — singletons, then blocks in
-    # descending submask order, then the ascending monotonize sweep — is
-    # the original recursive-helper order, so tie-breaks and therefore
-    # the mapped circuits are bit-identical.
+    # Two invariants let every candidate be evaluated once per mask:
+    #
+    # 1. For a mask with >= 2 items, F enumerates the node table's
+    #    candidates plus one: the whole mask as a single intermediate node.
+    #    That one reaches only u=1, and no other candidate does, because
+    #    every rest is non-empty and ``F[r][0]`` is None for non-empty
+    #    ``r``.  So ``F[mask]`` is the node enumeration taken before the
+    #    monotonize sweep, with the whole-mask wire at u=1, monotonized.
+    # 2. A mask with bit 0 set, other than the full set, is read only
+    #    through its at-most-K entry.  F tables are monotonized, so each
+    #    candidate's (cost, depth) can only fall as u grows, and the sweep
+    #    keeps the current entry on ties: the first minimum at u=K is
+    #    already the final at-most-K entry.  Such masks evaluate each
+    #    candidate at u=K only; their feasible entries run from the
+    #    smallest ``consumed + fmin[rest]`` up to K.
+    #
+    # The enumeration order — singletons of the lowest-indexed item in
+    # wire-then-merged order, then blocks in descending submask order,
+    # then the ascending monotonize sweep — fixes every tie-break and so
+    # the mapped circuit.  The counters keep the exhaustive accounting:
+    # each mask's node and F enumerations, at every utilization.
 
     def _subset_dp(
         self, op: str, items: List[FaninItem], stats: Optional[list] = None
@@ -453,11 +467,8 @@ class TreeMapper:
         k1 = k + 1
         n = len(items)
         full = (1 << n) - 1
-        # [candidates considered, minmap entries] — identical arithmetic
-        # to the pre-flattening kernel, including the F tables that are
-        # no longer materialized (decision records pin these counts).
-        acc0 = 0
-        acc1 = 0
+        acc0 = 0  # candidates considered
+        acc1 = 0  # feasible minmap entries
 
         # Singleton options per item: (consumed, cost, placement_depth,
         # placement), in wire-then-merged order.
@@ -483,10 +494,13 @@ class TreeMapper:
                         )
             singles.append(options)
 
-        # Flat tables: entry for (mask, u) lives at mask * k1 + u.
         F: List[Optional[Tuple[int, int, _Chain]]] = [None] * ((full + 1) * k1)
         F[0] = (0, 0, None)
-        sub_best: List[Optional[MapCand]] = [None] * (full + 1)
+        fmin = [k1] * (full + 1)  # k1: infeasible at every u
+        fmin[0] = 0
+        # Per mask with >= 2 items: its at-most-K candidate as a block,
+        # (cost, placement depth, placement), or None if infeasible.
+        wires: List[Optional[Tuple[int, int, tuple]]] = [None] * (full + 1)
 
         # Bucket masks by popcount in one ascending fill; int.bit_count is
         # a single CPython opcode (py >= 3.10).  Ascending mask order
@@ -495,77 +509,106 @@ class TreeMapper:
         for mask in range(1, full + 1):
             buckets[mask.bit_count()].append(mask)
 
+        # One item: each option fills exactly u = consumed (the rest is
+        # empty, and no two options of an item consume the same count),
+        # then the monotonize sweep.
+        for mask in buckets[1]:
+            first_singles = singles[mask.bit_length() - 1]
+            acc0 += len(first_singles)
+            if mask & 1:
+                continue
+            best: List[Optional[Tuple[int, int, _Chain]]] = [None] * k1
+            for consumed, cost, pdepth, placement in first_singles:
+                best[consumed] = (cost, pdepth, (placement, None))
+                if consumed < fmin[mask]:
+                    fmin[mask] = consumed
+            _monotonize(best)
+            base = mask * k1
+            F[base:base + k1] = best
+
         full_table: NodeTable = [None] * k1
-        for p in range(1, n + 1):
+        for p in range(2, n + 1):
             for mask in buckets[p]:
                 first_bit = mask & -mask
                 rest0 = mask ^ first_bit
-                rest_base = rest0 * k1
-                need_f = not (mask & 1)
-
-                # Singleton blocks of the lowest-indexed item, shared by
-                # the node-table and F enumerations (both start with
-                # them, in the same order).
-                best: List[Optional[Tuple[int, int, _Chain]]] = [None] * k1
                 first_singles = singles[first_bit.bit_length() - 1]
-                for consumed, cost, pdepth, placement in first_singles:
-                    for u in range(consumed, k1):
-                        rest_entry = F[rest_base + u - consumed]
-                        if rest_entry is None:
+                rfmin = fmin[rest0]
+                umin = k1  # the node table's lowest feasible u
+
+                if mask & 1 and mask != full:
+                    # Invariant 2: every candidate once, at u = K.
+                    # (total, depth, placement, rest chain) of the best.
+                    top: Optional[Tuple[int, int, tuple, _Chain]] = None
+                    rtop = rest0 * k1 + k
+                    for consumed, cost, pdepth, placement in first_singles:
+                        lo = consumed + rfmin
+                        if lo > k:
                             continue
+                        if lo < umin:
+                            umin = lo
+                        rest_entry = F[rtop - consumed]
                         total = cost + rest_entry[0]
                         rdepth = rest_entry[1]
                         depth = pdepth if pdepth > rdepth else rdepth
-                        cur = best[u]
                         # Cost first (the paper's objective); among
                         # equal-cost choices prefer the shallower circuit.
                         if (
-                            cur is None
-                            or total < cur[0]
-                            or (total == cur[0] and depth < cur[1])
+                            top is None
+                            or total < top[0]
+                            or (total == top[0] and depth < top[1])
                         ):
-                            best[u] = (total, depth, (placement, rest_entry[2]))
-
-                if p == 1:
-                    acc0 += len(first_singles)
-                    if need_f:
-                        for u in range(1, k1):
-                            prev = best[u - 1]
-                            cur = best[u]
-                            if prev is not None and (
-                                cur is None
-                                or prev[0] < cur[0]
-                                or (prev[0] == cur[0] and prev[1] < cur[1])
-                            ):
-                                best[u] = prev
-                        base = mask * k1
-                        F[base:base + k1] = best
+                            top = (total, depth, placement, rest_entry[2])
+                    # Blocks: intermediate nodes over strict subsets
+                    # containing the first item (Section 3.1.3: an
+                    # intermediate node provides a single input to the
+                    # root lookup table), in descending submask order.
+                    nblocks = 0
+                    t = (rest0 - 1) & rest0
+                    while t:
+                        wire = wires[first_bit | t]
+                        if wire is not None:
+                            nblocks += 1
+                            rest_mask = rest0 ^ t
+                            lo = 1 + fmin[rest_mask]
+                            if lo <= k:
+                                if lo < umin:
+                                    umin = lo
+                                rest_entry = F[rest_mask * k1 + k - 1]
+                                cost, pdepth, placement = wire
+                                total = cost + rest_entry[0]
+                                rdepth = rest_entry[1]
+                                depth = pdepth if pdepth > rdepth else rdepth
+                                if (
+                                    top is None
+                                    or total < top[0]
+                                    or (total == top[0] and depth < top[1])
+                                ):
+                                    top = (total, depth, placement,
+                                           rest_entry[2])
+                        t = (t - 1) & rest0
+                    acc0 += 2 * (len(first_singles) + nblocks)
+                    if top is not None:
+                        acc0 += 1  # the whole-mask wire in F's enumeration
+                        acc1 += k1 - umin
+                        whole = MapCand(
+                            top[0] + 1, op,
+                            (top[2],) + _chain_to_tuple(top[3]),
+                            input_depth=top[1],
+                        )
+                        wires[mask] = (
+                            whole.cost, top[1] + 1, ("wire", whole, False)
+                        )
                     continue
 
-                # Non-singleton blocks: intermediate nodes over strict
-                # subsets containing the first item (Section 3.1.3: an
-                # intermediate node provides a single input to the root
-                # lookup table, so u_i = 1), in descending submask order.
-                blocks: List[Tuple[MapCand, int]] = []
-                t = rest0
-                while t:
-                    block = first_bit | t
-                    if block != mask:
-                        cand = sub_best[block]
-                        if cand is not None:
-                            blocks.append((cand, mask ^ block))
-                    t = (t - 1) & rest0
-
-                best_f = list(best) if need_f else None
-                for cand, rest_mask in blocks:
-                    cost = cand.cost
-                    pdepth = cand.input_depth + 1
-                    placement = ("wire", cand, False)
-                    rbase = rest_mask * k1
-                    for u in range(1, k1):
-                        rest_entry = F[rbase + u - 1]
-                        if rest_entry is None:
-                            continue
+                # The full set and masks without bit 0: every u.
+                best = [None] * k1
+                rbase = rest0 * k1
+                for consumed, cost, pdepth, placement in first_singles:
+                    lo = consumed + rfmin
+                    if lo < umin:
+                        umin = lo
+                    for u in range(lo, k1):
+                        rest_entry = F[rbase + u - consumed]
                         total = cost + rest_entry[0]
                         rdepth = rest_entry[1]
                         depth = pdepth if pdepth > rdepth else rdepth
@@ -576,108 +619,68 @@ class TreeMapper:
                             or (total == cur[0] and depth < cur[1])
                         ):
                             best[u] = (total, depth, (placement, rest_entry[2]))
-                acc0 += len(first_singles) + len(blocks)
+                nblocks = 0
+                t = (rest0 - 1) & rest0
+                while t:
+                    wire = wires[first_bit | t]
+                    if wire is not None:
+                        nblocks += 1
+                        rest_mask = rest0 ^ t
+                        lo = 1 + fmin[rest_mask]
+                        if lo < umin:
+                            umin = lo
+                        cost, pdepth, placement = wire
+                        rbase = rest_mask * k1 - 1
+                        for u in range(lo, k1):
+                            rest_entry = F[rbase + u]
+                            total = cost + rest_entry[0]
+                            rdepth = rest_entry[1]
+                            depth = pdepth if pdepth > rdepth else rdepth
+                            cur = best[u]
+                            if (
+                                cur is None
+                                or total < cur[0]
+                                or (total == cur[0] and depth < cur[1])
+                            ):
+                                best[u] = (
+                                    total, depth, (placement, rest_entry[2])
+                                )
+                    t = (t - 1) & rest0
+                acc0 += 2 * (len(first_singles) + nblocks)
 
-                # Monotonize: entry at u is the best using at most u inputs.
-                for u in range(1, k1):
-                    prev = best[u - 1]
-                    cur = best[u]
-                    if prev is not None and (
-                        cur is None
-                        or prev[0] < cur[0]
-                        or (prev[0] == cur[0] and prev[1] < cur[1])
-                    ):
-                        best[u] = prev
-
-                # Materialize the node table for this mask: every entry
-                # for the full fanin set (the returned table), just the
-                # at-most-K candidate for strict subsets (the only entry
-                # other masks read).  Feasible-entry counts cover all u,
-                # matching the old always-materializing kernel.
                 if mask == full:
+                    _monotonize(best)
                     for u in range(2, k1):
                         entry = best[u]
-                        if entry is None:
-                            continue
-                        full_table[u] = MapCand(
-                            entry[0] + 1, op, _chain_to_tuple(entry[2]),
-                            input_depth=entry[1],
-                        )
-                        acc1 += 1
-                else:
-                    for u in range(2, k1):
-                        if best[u] is not None:
+                        if entry is not None:
+                            full_table[u] = MapCand(
+                                entry[0] + 1, op, _chain_to_tuple(entry[2]),
+                                input_depth=entry[1],
+                            )
                             acc1 += 1
-                    entry = best[k]
-                    whole = None
-                    if entry is not None:
-                        whole = MapCand(
-                            entry[0] + 1, op, _chain_to_tuple(entry[2]),
-                            input_depth=entry[1],
-                        )
-                        sub_best[mask] = whole
-
-                # The F enumeration repeats the same candidates with one
-                # extra block — the whole mask as a single intermediate
-                # node — considered right after the singletons.
-                whole_cand = full_table[k] if mask == full else sub_best[mask]
-                acc0 += len(first_singles) + len(blocks) + (
-                    1 if whole_cand is not None else 0
-                )
-                if not need_f:
+                    if full_table[k] is not None:
+                        acc0 += 1
                     continue
-                if whole_cand is not None:
-                    cost = whole_cand.cost
-                    pdepth = whole_cand.input_depth + 1
-                    placement = ("wire", whole_cand, False)
-                    for u in range(1, k1):
-                        rest_entry = F[u - 1]  # rest mask 0
-                        if rest_entry is None:
-                            continue
-                        total = cost + rest_entry[0]
-                        rdepth = rest_entry[1]
-                        depth = pdepth if pdepth > rdepth else rdepth
-                        cur = best_f[u]
-                        if (
-                            cur is None
-                            or total < cur[0]
-                            or (total == cur[0] and depth < cur[1])
-                        ):
-                            best_f[u] = (
-                                total, depth, (placement, rest_entry[2])
-                            )
-                for cand, rest_mask in blocks:
-                    cost = cand.cost
-                    pdepth = cand.input_depth + 1
-                    placement = ("wire", cand, False)
-                    rbase = rest_mask * k1
-                    for u in range(1, k1):
-                        rest_entry = F[rbase + u - 1]
-                        if rest_entry is None:
-                            continue
-                        total = cost + rest_entry[0]
-                        rdepth = rest_entry[1]
-                        depth = pdepth if pdepth > rdepth else rdepth
-                        cur = best_f[u]
-                        if (
-                            cur is None
-                            or total < cur[0]
-                            or (total == cur[0] and depth < cur[1])
-                        ):
-                            best_f[u] = (
-                                total, depth, (placement, rest_entry[2])
-                            )
-                for u in range(1, k1):
-                    prev = best_f[u - 1]
-                    cur = best_f[u]
-                    if prev is not None and (
-                        cur is None
-                        or prev[0] < cur[0]
-                        or (prev[0] == cur[0] and prev[1] < cur[1])
-                    ):
-                        best_f[u] = prev
+
+                # best[k] is already the at-most-K entry (the argument of
+                # invariant 2); by invariant 1, F is this enumeration plus
+                # the whole-mask wire at u=1.
+                entry = best[k]
+                if entry is None:
+                    continue
+                acc0 += 1
+                acc1 += k1 - umin
+                whole = MapCand(
+                    entry[0] + 1, op, _chain_to_tuple(entry[2]),
+                    input_depth=entry[1],
+                )
+                placement = ("wire", whole, False)
+                wires[mask] = (whole.cost, entry[1] + 1, placement)
+                best[1] = (whole.cost, entry[1] + 1, (placement, None))
+                _monotonize(best)
                 base = mask * k1
-                F[base:base + k1] = best_f
+                F[base:base + k1] = best
+                fmin[mask] = 1
 
         metrics.count("chortle.decomp_candidates", acc0)
         metrics.count("chortle.minmap_entries", acc1)
@@ -685,3 +688,22 @@ class TreeMapper:
             stats[0] += acc0
             stats[1] += acc1
         return full_table
+
+
+def _monotonize(best: list) -> None:
+    """Make ``best[u]`` the best entry using at most ``u`` inputs, in place.
+
+    Ascending in ``u``, a strictly better (cost, depth) at ``u - 1``
+    replaces the entry at ``u``; on ties the entry at ``u`` stays.
+    """
+    for u in range(1, len(best)):
+        prev = best[u - 1]
+        if prev is None:
+            continue
+        cur = best[u]
+        if (
+            cur is None
+            or prev[0] < cur[0]
+            or (prev[0] == cur[0] and prev[1] < cur[1])
+        ):
+            best[u] = prev

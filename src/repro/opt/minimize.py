@@ -9,7 +9,7 @@ cleanup, which is what MIS's ``simplify`` degrades to as well.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.blif.sop import SopCover
 from repro.truth.truthtable import TruthTable
@@ -18,37 +18,41 @@ from repro.truth.truthtable import TruthTable
 # and, for cared positions, bit j of `values` is the literal polarity.
 Implicant = Tuple[int, int]
 
+# Covers wider than this get single-cube containment instead of exact
+# minimization.
+EXACT_MAX_INPUTS = 10
+
 
 def _implicant_covers(imp: Implicant, minterm: int) -> bool:
     values, mask = imp
     return (minterm & ~mask) == (values & ~mask)
 
 
-def _try_merge(a: Implicant, b: Implicant) -> Optional[Implicant]:
-    """Combine two implicants differing in exactly one cared bit."""
-    if a[1] != b[1]:
-        return None
-    diff = (a[0] ^ b[0]) & ~a[1]
-    if diff == 0 or diff & (diff - 1):
-        return None
-    return (a[0] & ~diff, a[1] | diff)
-
-
 def prime_implicants(tt: TruthTable) -> List[Implicant]:
-    """All prime implicants of the function, by iterated merging."""
+    """All prime implicants of the function, by iterated merging.
+
+    Two implicants merge when they share a mask and differ in exactly one
+    cared bit; the one holding a 0 there finds its partner by a set
+    lookup of the implicant with that bit set, so each round is linear in
+    the implicants times the variables instead of quadratic.
+    """
+    variables = (1 << tt.nvars) - 1
     current: Set[Implicant] = {(m, 0) for m in tt.minterms()}
     primes: Set[Implicant] = set()
     while current:
         merged: Set[Implicant] = set()
         used: Set[Implicant] = set()
-        current_list = sorted(current)
-        for i, a in enumerate(current_list):
-            for b in current_list[i + 1:]:
-                combo = _try_merge(a, b)
-                if combo is not None:
-                    merged.add(combo)
-                    used.add(a)
-                    used.add(b)
+        for implicant in current:
+            values, mask = implicant
+            zeros = variables & ~(values | mask)
+            while zeros:
+                bit = zeros & -zeros
+                zeros ^= bit
+                partner = (values | bit, mask)
+                if partner in current:
+                    merged.add((values, mask | bit))
+                    used.add(implicant)
+                    used.add(partner)
         primes |= current - used
         current = merged
     return sorted(primes)
@@ -118,7 +122,9 @@ def _single_cube_containment(cover: SopCover) -> SopCover:
     return SopCover(cover.inputs, cover.output, kept, phase=cover.phase)
 
 
-def minimize_cover(cover: SopCover, max_inputs: int = 10) -> SopCover:
+def minimize_cover(
+    cover: SopCover, max_inputs: int = EXACT_MAX_INPUTS
+) -> SopCover:
     """Minimize a BLIF cover, preserving its function exactly.
 
     Covers with at most ``max_inputs`` columns get exact Quine-McCluskey
@@ -137,13 +143,23 @@ def minimize_cover(cover: SopCover, max_inputs: int = 10) -> SopCover:
         )
     if cover.num_inputs > max_inputs:
         return _single_cube_containment(cover)
+    return minimize_function(cover.inputs, cover.output, cover.truth_table())
 
-    tt = cover.truth_table()
+
+def minimize_function(
+    inputs: Sequence[str], output: str, tt: TruthTable
+) -> SopCover:
+    """An exact minimized cover of ``tt`` over the named inputs.
+
+    Both phases are minimized; the cover with fewer cubes, then fewer
+    literals, is kept (a constant function comes out as a cube-less
+    cover of the matching phase).
+    """
     on_cover = minimize_truth_table(tt)
     off_cover = minimize_truth_table(~tt)
+    width = len(inputs)
 
     def literals(imps: List[Implicant]) -> int:
-        width = cover.num_inputs
         return sum(width - bin(m[1]).count("1") for m in imps)
 
     use_off = (len(off_cover), literals(off_cover)) < (
@@ -151,13 +167,11 @@ def minimize_cover(cover: SopCover, max_inputs: int = 10) -> SopCover:
         literals(on_cover),
     )
     imps = off_cover if use_off else on_cover
-    cubes = [_implicant_to_cube(i, cover.num_inputs) for i in imps]
-    return SopCover(
-        cover.inputs, cover.output, cubes, phase=0 if use_off else 1
-    )
+    cubes = [_implicant_to_cube(i, width) for i in imps]
+    return SopCover(inputs, output, cubes, phase=0 if use_off else 1)
 
 
-def minimize_model_tables(model, max_inputs: int = 10):
+def minimize_model_tables(model, max_inputs: int = EXACT_MAX_INPUTS):
     """Minimize every table of a parsed BLIF model in place; returns it."""
     model.tables = [minimize_cover(t, max_inputs=max_inputs) for t in model.tables]
     return model

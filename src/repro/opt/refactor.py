@@ -11,37 +11,29 @@ preserved exactly (and is property-tested to be).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List
 
 from repro.blif.sop import SopCover
-from repro.core.forest import Tree, build_forest
+from repro.core.forest import Tree, build_forest, tree_orders
 from repro.network.network import AND, BooleanNetwork
 from repro.network.transform import sweep
 from repro.opt.factor import factor_cover
-from repro.opt.minimize import minimize_cover
+from repro.opt.minimize import EXACT_MAX_INPUTS, minimize_function
 from repro.opt.script import _emit_factor_tree
+from repro.truth.truthtable import TruthTable
 
 
 def _tree_root_function(
-    net: BooleanNetwork, tree: Tree
-) -> Optional[SopCover]:
-    """The root's function over the tree's distinct leaves, as a cover."""
+    net: BooleanNetwork, tree: Tree, order: List[str]
+) -> TruthTable:
+    """The root's function over the tree's sorted distinct leaves.
+
+    ``order`` is the tree's internal nodes in topological order.
+    """
     leaves = sorted(tree.leaves)
     n = len(leaves)
-    width = 1 << n
-    words: Dict[str, int] = {}
-    for j, leaf in enumerate(leaves):
-        period = 1 << j
-        block = ((1 << period) - 1) << period
-        word = 0
-        for start in range(0, width, 2 * period):
-            word |= block << start
-        words[leaf] = word
-
-    # Evaluate only the cone between leaves and root.
-    values = dict(words)
-    order = [x for x in net.topological_order() if x in tree.internal]
-    mask = (1 << width) - 1
+    values = {leaf: TruthTable.var(j, n).bits for j, leaf in enumerate(leaves)}
+    mask = (1 << (1 << n)) - 1
     for name in order:
         node = net.node(name)
         acc = None
@@ -56,11 +48,7 @@ def _tree_root_function(
             else:
                 acc |= word
         values[name] = acc
-
-    from repro.truth.truthtable import TruthTable
-
-    tt = TruthTable(n, values[tree.root])
-    return SopCover.from_truth_table(leaves, tree.root, tt)
+    return TruthTable(n, values[tree.root])
 
 
 def refactor_network(
@@ -77,11 +65,16 @@ def refactor_network(
     forest = build_forest(net)
     rebuilt: Dict[str, SopCover] = {}
     drop: set = set()
-    for tree in forest.trees:
+    for tree, order in zip(forest.trees, tree_orders(forest)):
         if tree.num_nodes < min_nodes or len(tree.leaves) > max_leaves:
             continue
-        cover = _tree_root_function(net, tree)
-        rebuilt[tree.root] = minimize_cover(cover)
+        tt = _tree_root_function(net, tree, order)
+        leaves = sorted(tree.leaves)
+        if tt.nvars > EXACT_MAX_INPUTS:
+            # Too wide for exact minimization: keep the minterm cover.
+            rebuilt[tree.root] = SopCover.from_truth_table(leaves, tree.root, tt)
+        else:
+            rebuilt[tree.root] = minimize_function(leaves, tree.root, tt)
         drop |= tree.internal - {tree.root}
 
     out = BooleanNetwork(net.name)

@@ -1,5 +1,7 @@
 """Tests for LUT-content expression trees."""
 
+import random
+
 import pytest
 
 from repro.core.expr import (
@@ -14,6 +16,7 @@ from repro.core.expr import (
 )
 from repro.network.network import AND, OR
 from repro.truth.truthtable import TruthTable
+from tests.util import minterm_truth_table
 
 
 def sample_expr():
@@ -78,3 +81,37 @@ class TestEvaluation:
     def test_single_leaf(self):
         tt = to_truth_table(Leaf("a", inv=True), ["a"])
         assert tt == ~TruthTable.var(0, 1)
+
+
+def _random_expr(rng, keys, depth):
+    """A random AND/OR/NOT expression over ``keys``, merges nested."""
+    if depth == 0 or rng.random() < 0.25:
+        return Leaf(rng.choice(keys), inv=rng.random() < 0.4)
+    if rng.random() < 0.2:
+        return NotExpr(_random_expr(rng, keys, depth - 1))
+    children = [
+        _random_expr(rng, keys, depth - 1) for _ in range(rng.randint(1, 4))
+    ]
+    return OpExpr(rng.choice((AND, OR)), children)
+
+
+class TestBitParallelTruthTable:
+    """``to_truth_table`` against one ``evaluate`` per minterm."""
+
+    @pytest.mark.parametrize("nkeys", [1, 2, 3, 4, 5, 6])
+    def test_fuzz_against_minterm_loop(self, nkeys):
+        rng = random.Random(nkeys)
+        keys = [("ext", "k%d" % j) for j in range(nkeys)]
+        for _ in range(60):
+            expr = _random_expr(rng, keys, depth=4)
+            order = leaf_keys(expr)
+            assert to_truth_table(expr, order) == minterm_truth_table(
+                expr, order
+            )
+            # Key orders with unused or permuted keys, as emission never
+            # produces but callers may.
+            shuffled = list(keys)
+            rng.shuffle(shuffled)
+            assert to_truth_table(expr, shuffled) == minterm_truth_table(
+                expr, shuffled
+            )

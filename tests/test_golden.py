@@ -1,4 +1,4 @@
-"""Golden regression values: exact LUT counts on deterministic circuits.
+"""Golden regression values: exact LUT counts and flow outputs.
 
 The synthetic MCNC stand-ins are generated from fixed seeds, so mapping
 results are exactly reproducible.  These tests pin the current numbers;
@@ -16,11 +16,15 @@ improvement), regenerate the table with the snippet in this docstring::
                   MisMapper(k).map(net).cost)
 """
 
+import hashlib
+
 import pytest
 
 from repro.baseline.mis_mapper import MisMapper
 from repro.bench.mcnc import mcnc_circuit
+from repro.blif.writer import write_lut_circuit
 from repro.core.chortle import ChortleMapper
+from repro.pipeline import map_area, map_delay
 
 # (circuit, k) -> (chortle LUTs, mis LUTs)
 GOLDEN = {
@@ -68,3 +72,30 @@ def test_golden_shape():
             assert abs(chortle - mis) <= max(3, mis // 50)
         else:
             assert chortle < mis
+
+
+# (circuit, flow) -> sha1 of the BLIF the composed flow writes at K=4.
+# These pin the MIS-style front end (sweep, refactor with its two-level
+# minimization) together with chortle and merging; regenerate with
+#   hashlib.sha1(write_lut_circuit(map_area(mcnc_circuit(name), k=4))
+#                .encode()).hexdigest()
+# (map_delay likewise) when a change to the flows is intentional.
+FLOW_BLIF_SHA1 = {
+    ("9symml", "area"): "4231d98d404c8c8ad18b2b3afef70cb734f6d85f",
+    ("9symml", "delay"): "e345c8bdcc1ecf590320752d73a9433b1ee3806d",
+    ("count", "area"): "7d0934664fe3e5eddad73aa1331da8fdcbe1e131",
+    ("count", "delay"): "2c9399d5906677740052b4f4b5b79bafa6c6d721",
+    ("alu2", "area"): "aa31dd54c99ab2fe90337d64735244c0c59066bb",
+    ("alu2", "delay"): "823b84edf00cd4bb3ecd8954885b4ea321c3eeeb",
+    ("frg1", "area"): "4f1b161346b81b7ba7ed68eaa19685b5bc023101",
+    ("frg1", "delay"): "43e358351f9240b69621517abb3377fac78a0c3d",
+}
+
+_FLOWS = {"area": map_area, "delay": map_delay}
+
+
+@pytest.mark.parametrize("name,flow", sorted(FLOW_BLIF_SHA1))
+def test_flow_blif_golden(name, flow):
+    text = write_lut_circuit(_FLOWS[flow](_net(name), k=4))
+    digest = hashlib.sha1(text.encode()).hexdigest()
+    assert digest == FLOW_BLIF_SHA1[(name, flow)]

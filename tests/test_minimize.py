@@ -1,17 +1,49 @@
 """Tests for two-level minimization (Quine-McCluskey + cover selection)."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blif.sop import SopCover
 from repro.opt.minimize import (
     _implicant_covers,
-    _try_merge,
     minimize_cover,
+    minimize_function,
     minimize_truth_table,
     prime_implicants,
 )
 from repro.truth.truthtable import TruthTable
+
+
+def _try_merge(a, b):
+    """Combine two implicants differing in exactly one cared bit."""
+    if a[1] != b[1]:
+        return None
+    diff = (a[0] ^ b[0]) & ~a[1]
+    if diff == 0 or diff & (diff - 1):
+        return None
+    return (a[0] & ~diff, a[1] | diff)
+
+
+def _pairwise_prime_implicants(tt):
+    """Textbook Quine-McCluskey: try every pair each round (the oracle)."""
+    current = {(m, 0) for m in tt.minterms()}
+    primes = set()
+    while current:
+        merged = set()
+        used = set()
+        current_list = sorted(current)
+        for i, a in enumerate(current_list):
+            for b in current_list[i + 1:]:
+                combo = _try_merge(a, b)
+                if combo is not None:
+                    merged.add(combo)
+                    used.add(a)
+                    used.add(b)
+        primes |= current - used
+        current = merged
+    return sorted(primes)
 
 
 class TestMerging:
@@ -55,6 +87,29 @@ class TestPrimeImplicants:
         tt = (a & b) | (~a & c)
         primes = prime_implicants(tt)
         assert len(primes) == 3
+
+
+class TestPrimeImplicantsOracle:
+    """The set-lookup merge finds exactly the pairwise merge's primes."""
+
+    def test_random_tables_zero_to_seven_vars(self):
+        rng = random.Random(2024)
+        for nvars in range(8):
+            for _ in range(40):
+                # Sparse, dense and uniform on-sets.
+                density = rng.choice((0.1, 0.5, 0.9))
+                bits = 0
+                for m in range(1 << nvars):
+                    if rng.random() < density:
+                        bits |= 1 << m
+                tt = TruthTable(nvars, bits)
+                assert prime_implicants(tt) == _pairwise_prime_implicants(tt)
+
+    def test_constants(self):
+        for nvars in range(4):
+            for value in (False, True):
+                tt = TruthTable.const(value, nvars)
+                assert prime_implicants(tt) == _pairwise_prime_implicants(tt)
 
 
 class TestMinimizeTruthTable:
@@ -126,6 +181,26 @@ class TestMinimizeCover:
         cover = SopCover.from_truth_table(["a", "b", "c"], "y", tt)
         result = minimize_cover(cover)
         assert result.num_cubes <= max(1, cover.num_cubes)
+
+
+class TestMinimizeFunction:
+    @given(st.integers(0, 65535))
+    @settings(max_examples=60)
+    def test_same_cover_as_minterm_round_trip(self, bits):
+        tt = TruthTable(4, bits)
+        inputs = ["a", "b", "c", "d"]
+        direct = minimize_function(inputs, "y", tt)
+        via_cover = minimize_cover(SopCover.from_truth_table(inputs, "y", tt))
+        assert direct.cubes == via_cover.cubes
+        assert direct.phase == via_cover.phase
+        assert direct.truth_table() == tt
+
+    def test_constants_are_cubeless(self):
+        for value in (False, True):
+            cover = minimize_function(["a", "b"], "y", TruthTable.const(value, 2))
+            assert cover.cubes == ()
+            assert cover.is_constant()
+            assert cover.constant_value() == int(value)
 
 
 class TestModelIntegration:

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from tests.util import make_random_network
+from tests.util import make_random_network, minterm_truth_table
 from repro.blif import write_lut_circuit
 from repro.core.chortle import ChortleMapper
 from repro.core.tree_mapper import (
@@ -619,9 +619,10 @@ class _ReferenceTreeMapper(TreeMapper):
     dict-of-lists formulation with recursive-helper structure: per-mask
     ``F``/``sub`` dicts, a closure-based ``consider``, and fully
     materialized F tables for every mask.  The production kernel's flat
-    preallocated arrays, skipped F tables, and singleton precomputation
-    must be *bit-identical* to this — same circuits, same candidate
-    counts — or the refactor changed semantics.
+    preallocated arrays, skipped F tables, single enumeration per mask,
+    u=K-only masks and singleton precomputation must be *bit-identical*
+    to this — same circuits, same candidate counts — or the refactor
+    changed semantics.
     """
 
     def _subset_dp(self, op, items, stats=None):
@@ -723,8 +724,12 @@ class _ReferenceTreeMapper(TreeMapper):
 
 
 def _reference_emit(cand, circuit, wire_name):
-    """The original *recursive* candidate emission, as a test oracle."""
-    from repro.core.expr import Leaf, NotExpr, OpExpr, leaf_keys, to_truth_table
+    """The original *recursive* candidate emission, as a test oracle.
+
+    Tables come from one ``evaluate`` per minterm, not from the
+    bit-parallel ``to_truth_table`` under test.
+    """
+    from repro.core.expr import Leaf, NotExpr, OpExpr, leaf_keys
     from repro.core.lut import LUTProvenance
 
     counter = [0]
@@ -754,7 +759,7 @@ def _reference_emit(cand, circuit, wire_name):
         circuit.add_lut(
             name,
             keys,
-            to_truth_table(expr, keys),
+            minterm_truth_table(expr, keys),
             provenance=LUTProvenance(
                 tree=wire_name,
                 op=c.op,
@@ -764,6 +769,48 @@ def _reference_emit(cand, circuit, wire_name):
         )
 
     emit(cand, wire_name)
+
+
+def _wide_node_network(seed, width):
+    """One gate of fanin ``width`` over a mix of leaves and child gates.
+
+    Each fanin is a fresh input (a leaf item) or a fanout-free child gate
+    of the opposite operation over 2-4 fresh inputs (a table item, some
+    with a grandchild), inverted at random.
+    """
+    import random
+
+    from repro.network.builder import NetworkBuilder
+    from repro.network.network import Signal
+    from repro.network.transform import sweep
+
+    rng = random.Random(seed)
+    b = NetworkBuilder("wide%d" % seed)
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return b.input("x%d" % counter[0])
+
+    def gate(op, fanins):
+        return (b.and_ if op == "and" else b.or_)(*fanins)
+
+    def flip(sig):
+        return Signal(sig.name, rng.random() < 0.3)
+
+    root_op = rng.choice(("and", "or"))
+    child_op = "or" if root_op == "and" else "and"
+    fanins = []
+    for _ in range(width):
+        if rng.random() < 0.5:
+            fanins.append(flip(fresh()))
+            continue
+        leaves = [flip(fresh()) for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.3:
+            leaves[0] = flip(gate(root_op, [fresh(), fresh()]))
+        fanins.append(flip(gate(child_op, leaves)))
+    b.output("o", gate(root_op, fanins))
+    return sweep(b.network())
 
 
 def _map_forest(net, k, mapper_cls=TreeMapper, emit=None, split_threshold=10):
@@ -792,20 +839,37 @@ class TestIterativeDPParity:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_fuzz_bit_identity_and_counters(self, k):
         for seed in range(6):
-            net = make_random_network(seed, num_gates=22)
-            before = metrics.counters()
-            fast = _map_forest(net, k)
-            mid = metrics.counter_delta(before)
-            reference = _map_forest(
-                net, k, mapper_cls=_ReferenceTreeMapper, emit=_reference_emit
-            )
-            assert fast == reference
-            # The accounting must match too: the production kernel skips
-            # half the F tables but still counts their candidates.
-            after = metrics.counter_delta(before)
-            for counter in ("chortle.decomp_candidates",
-                            "chortle.minmap_entries"):
-                assert after[counter] == 2 * mid[counter], counter
+            self._assert_parity(make_random_network(seed, num_gates=22), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_wide_nodes_under_split_threshold(self, k):
+        # Fanin 8-10: one subset DP over up to 1,024 masks, where the
+        # u=K-only masks and the shared node/F enumeration do the work.
+        for width in (8, 9, 10):
+            self._assert_parity(_wide_node_network(10 * k + width, width), k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_wide_nodes_through_split(self, k):
+        # Fanin 11-16 splits into two halves (_split_and_map), each a
+        # subset DP of its own, joined by a two-item DP.
+        for width in range(11, 17):
+            self._assert_parity(_wide_node_network(10 * k + width, width), k)
+
+    @staticmethod
+    def _assert_parity(net, k):
+        before = metrics.counters()
+        fast = _map_forest(net, k)
+        mid = metrics.counter_delta(before)
+        reference = _map_forest(
+            net, k, mapper_cls=_ReferenceTreeMapper, emit=_reference_emit
+        )
+        assert fast == reference
+        # The accounting must match too: the production kernel skips
+        # F tables and utilizations but still counts their candidates.
+        after = metrics.counter_delta(before)
+        for counter in ("chortle.decomp_candidates", "chortle.minmap_entries"):
+            assert mid[counter] > 0, counter
+            assert after[counter] == 2 * mid[counter], counter
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_wide_fanin_split_path(self, k):

@@ -63,3 +63,21 @@ def make_random_tree_network(
         root = b.and_(root, other)
     b.output("y", root)
     return sweep(b.network())
+
+
+def minterm_truth_table(expr, key_order):
+    """Truth table of an expression by evaluating it on every minterm.
+
+    The reference for ``repro.core.expr.to_truth_table``: one recursive
+    ``evaluate`` per assignment, independent of its bit-parallel words.
+    """
+    from repro.core.expr import evaluate
+    from repro.truth.truthtable import TruthTable
+
+    n = len(key_order)
+    bits = 0
+    for m in range(1 << n):
+        values = {key: (m >> j) & 1 for j, key in enumerate(key_order)}
+        if evaluate(expr, values):
+            bits |= 1 << m
+    return TruthTable(n, bits)
