@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.lut import LUTCircuit, LUTProvenance
-from repro.core.expr import Leaf, NotExpr, OpExpr, leaf_keys, to_truth_table
+from repro.core.expr import Leaf, NotExpr, OpExpr, to_truth_table
 from repro.errors import MappingError
 from repro.network.network import AND, CONST0, CONST1, OR, BooleanNetwork, Signal
 from repro.truth.truthtable import TruthTable
@@ -153,15 +153,22 @@ def cone_signature(
 
 
 class _EmitFrame:
-    """One in-flight candidate of the iterative emission walk."""
+    """One in-flight candidate of the iterative emission walk.
 
-    __slots__ = ("cand", "name", "inv", "children", "index")
+    ``keys`` collects the leaf keys of ``children`` left to right, with
+    repeats: a merged child's keys join at the child's position, so the
+    first appearances give the table's input order without a second
+    walk over the finished expression.
+    """
+
+    __slots__ = ("cand", "name", "inv", "children", "keys", "index")
 
     def __init__(self, cand, name, inv):
         self.cand = cand
         self.name = name  # LUT name for emit frames, None for merged
         self.inv = inv
         self.children: list = []
+        self.keys: list = []
         self.index = 0
 
 
@@ -191,12 +198,14 @@ def emit_candidate(cand, circuit: LUTCircuit, wire_name: str) -> int:
             kind = placement[0]
             if kind == "ext":
                 frame.children.append(Leaf(placement[1], placement[2]))
+                frame.keys.append(placement[1])
             elif kind == "wire":
                 counter += 1
                 child_name = circuit.fresh_name(
                     "%s_l%d" % (wire_name, counter)
                 )
                 frame.children.append(Leaf(child_name, placement[2]))
+                frame.keys.append(child_name)
                 stack.append(_EmitFrame(placement[1], child_name, False))
             else:  # merged: the child's root table folds into this one
                 stack.append(_EmitFrame(placement[1], None, placement[2]))
@@ -204,7 +213,7 @@ def emit_candidate(cand, circuit: LUTCircuit, wire_name: str) -> int:
         stack.pop()
         expr = OpExpr(frame.cand.op, frame.children)
         if frame.name is not None:
-            keys = leaf_keys(expr)
+            keys = list(dict.fromkeys(frame.keys))
             tt = to_truth_table(expr, keys)
             circuit.add_lut(
                 frame.name,
@@ -219,9 +228,9 @@ def emit_candidate(cand, circuit: LUTCircuit, wire_name: str) -> int:
             )
             emitted += 1
         else:
-            stack[-1].children.append(
-                NotExpr(expr) if frame.inv else expr
-            )
+            parent = stack[-1]
+            parent.children.append(NotExpr(expr) if frame.inv else expr)
+            parent.keys.extend(frame.keys)
     return emitted
 
 
