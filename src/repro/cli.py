@@ -17,7 +17,6 @@ Installed as ``chortle`` (also ``python -m repro``).  Subcommands::
     chortle explain 9symml -k 4                   # decision provenance report
     chortle explain in.blif --node n1 --format json   # one node, as JSON
     chortle map in.blif --explain                 # explanation alongside mapping
-    chortle bench-perf --quick -o perf.json       # measured perf trajectory
     chortle stats in.blif                         # network statistics
     chortle generate 9symml -o 9symml.blif        # synthetic MCNC stand-in
     chortle verify in.blif mapped.blif            # equivalence check
@@ -37,9 +36,6 @@ Installed as ``chortle`` (also ``python -m repro``).  Subcommands::
     chortle qor report run.json                   # markdown QoR table
     chortle perf top                              # self-time hotspot table
     chortle perf flame -o out.folded              # folded stacks (speedscope)
-    chortle perf record --quick                   # measure + append to history
-    chortle perf diff base.json cur.json          # noise-tolerant perf diff
-    chortle perf gate --quick                     # fail on perf regressions
 """
 
 from __future__ import annotations
@@ -934,35 +930,6 @@ def _cmd_qor_gate(args: argparse.Namespace) -> int:
     return _finish_diff(diff_records(baseline, current), args)
 
 
-def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    """Measure the perf trajectory and write the BENCH_perf.json payload."""
-    from repro.perf.benchperf import (
-        render_bench_perf,
-        run_bench_perf,
-        save_bench_perf,
-    )
-
-    result = run_bench_perf(
-        circuits=args.circuits or None,
-        ks=tuple(args.ks) if args.ks else None,
-        mappers=tuple(args.mappers),
-        jobs=args.jobs,
-        quick=args.quick,
-        created_at=args.timestamp or _utc_timestamp(),
-        warm_tolerance=args.warm_tolerance,
-        cache_dir=args.cache_dir,
-        progress=args.progress,
-        matrix=not args.no_matrix,
-    )
-    if args.output:
-        save_bench_perf(result, args.output)
-        print("wrote %s" % args.output, file=sys.stderr)
-    print(render_bench_perf(result))
-    if args.gate and not result["gate"]["pass"]:
-        return 1
-    return 0
-
-
 def _cmd_qor_report(args: argparse.Namespace) -> int:
     from repro.obs.qor import RunRecord
     from repro.obs.qordiff import render_record
@@ -984,7 +951,7 @@ def _perf_trace_records(args: argparse.Namespace):
     """
     from repro.obs.traceview import load_trace
 
-    if getattr(args, "trace", None):
+    if args.trace:
         return load_trace(args.trace)
     from repro.bench.runner import run_suite
 
@@ -998,8 +965,8 @@ def _perf_trace_records(args: argparse.Namespace):
             mappers=tuple(args.mappers),
             ks=tuple(args.ks),
             jobs=1,
-            cache=getattr(args, "cache", False),
-            progress=bool(getattr(args, "progress", False)),
+            cache=args.cache,
+            progress=args.progress,
         )
     return sink.records
 
@@ -1041,133 +1008,6 @@ def _cmd_perf_flame(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _perf_measure(args: argparse.Namespace):
-    """Run bench-perf with the measure options and freeze a PerfRecord."""
-    from repro.obs.perfrec import PerfRecord
-    from repro.perf.benchperf import run_bench_perf
-
-    payload = run_bench_perf(
-        jobs=args.jobs,
-        quick=args.quick,
-        created_at=args.timestamp or _utc_timestamp(),
-        progress=bool(getattr(args, "progress", False)),
-    )
-    return PerfRecord.from_bench(payload, label=args.label)
-
-
-def _load_perf_record(path: str):
-    """One perf record from ``path``.
-
-    Accepts a saved record, a raw ``BENCH_perf.json``-shaped payload,
-    or a history file (whose newest record wins), so any perf artifact
-    the repo produces is a valid diff input.
-    """
-    from repro.errors import PerfError
-    from repro.obs.perfrec import PerfHistory, PerfRecord
-
-    try:
-        return PerfRecord.load(path)
-    except PerfError:
-        pass
-    record = PerfHistory.load(path).latest()
-    if record is None:
-        raise PerfError(
-            "%r holds neither a perf record nor a non-empty perf history"
-            % path
-        )
-    return record
-
-
-def _finish_perf_diff(diff, args: argparse.Namespace, history=None,
-                      current=None) -> int:
-    """Print/record a perf diff and turn it into an exit status."""
-    markdown = getattr(args, "markdown", None)
-    if markdown:
-        _write_text(markdown, diff.to_markdown(history, current))
-        print("wrote %s" % markdown, file=sys.stderr)
-    for note in diff.notes:
-        print("note: %s" % note)
-    for cell in diff.regressions:
-        print("REGRESSED %s" % cell.describe())
-    for cell in diff.improvements:
-        print("improved  %s" % cell.describe())
-    n_reg = len(diff.regressions)
-    n_imp = len(diff.improvements)
-    print(
-        "perf diff: %d regressed, %d improved, %d unchanged (%d metrics); "
-        "gate %s"
-        % (
-            n_reg,
-            n_imp,
-            len(diff.cells) - n_reg - n_imp,
-            len(diff.cells),
-            "PASS" if diff.passes_gate() else "FAIL",
-        )
-    )
-    return 0 if diff.passes_gate() else 1
-
-
-def _cmd_perf_record(args: argparse.Namespace) -> int:
-    from repro.obs.perfrec import PerfHistory
-
-    record = _perf_measure(args)
-    if args.output:
-        record.save(args.output)
-        print(
-            "wrote %s: %s" % (args.output, record.describe()), file=sys.stderr
-        )
-    if not args.no_append:
-        history = PerfHistory.load(args.history)
-        history.append(record)
-        history.save(args.history)
-        print(
-            "appended to %s (%d records): %s"
-            % (args.history, len(history.records), record.describe()),
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_perf_diff(args: argparse.Namespace) -> int:
-    from repro.obs.perfdiff import diff_perf_records
-
-    baseline = _load_perf_record(args.baseline)
-    current = _load_perf_record(args.current)
-    diff = diff_perf_records(baseline, current)
-    return _finish_perf_diff(diff, args, current=current)
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    """Measure (or load) a record and gate it against the history."""
-    from repro.errors import PerfError
-    from repro.obs.perfdiff import diff_perf_records
-    from repro.obs.perfrec import PerfHistory, PerfRecord
-
-    history = PerfHistory.load(args.history)
-    if args.current:
-        current = PerfRecord.load(args.current)
-    else:
-        current = _perf_measure(args)
-    if args.output:
-        current.save(args.output)
-        print(
-            "wrote %s: %s" % (args.output, current.describe()), file=sys.stderr
-        )
-    baseline, env_matched = history.baseline_for(current)
-    if baseline is None:
-        raise PerfError(
-            "perf history %r has no records to gate against" % args.history
-        )
-    if not env_matched:
-        print(
-            "note: no history record matches this machine shape; gating "
-            "portable ratios only",
-            file=sys.stderr,
-        )
-    diff = diff_perf_records(baseline, current)
-    return _finish_perf_diff(diff, args, history=history, current=current)
 
 
 def _add_perf_options(p: argparse.ArgumentParser) -> None:
@@ -1380,88 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="write the explanation to this file"
     )
     p_explain.set_defaults(func=_cmd_explain, explain=True)
-
-    p_perf = sub.add_parser(
-        "bench-perf",
-        help="time the benchmark suite serial/cached/warm/parallel; "
-        "emit the BENCH_perf.json trajectory",
-    )
-    p_perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized subset (4 circuits, K in {3,4}) instead of the "
-        "full Table 1-4 suite",
-    )
-    p_perf.add_argument(
-        "--circuits",
-        nargs="*",
-        default=None,
-        metavar="NAME",
-        help="MCNC profile names (default: suite, or the --quick subset)",
-    )
-    p_perf.add_argument(
-        "--ks",
-        nargs="+",
-        type=int,
-        default=None,
-        metavar="K",
-        help="LUT input counts to sweep (default: 2 3 4 5, or 3 4 with "
-        "--quick)",
-    )
-    p_perf.add_argument(
-        "--mappers",
-        nargs="+",
-        default=["chortle"],
-        metavar="MAPPER",
-        help="mappers to time (default: chortle)",
-    )
-    p_perf.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes added to the matrix legs' jobs sweep "
-        "(default 2)",
-    )
-    p_perf.add_argument(
-        "--no-matrix",
-        action="store_true",
-        help="skip the jobs x pool-reuse matrix legs",
-    )
-    p_perf.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="also save the warm cache to DIR and verify the disk "
-        "round trip",
-    )
-    p_perf.add_argument(
-        "--warm-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="gate: warm may be at most this fraction slower than cold "
-        "(default 0.20)",
-    )
-    p_perf.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit nonzero if the warm-vs-cold gate or the QoR identity "
-        "check fails",
-    )
-    p_perf.add_argument(
-        "-o", "--output", help="write the JSON payload to this file"
-    )
-    p_perf.add_argument(
-        "--timestamp",
-        default=None,
-        help="created_at stamp for the payload (default: now, UTC ISO-8601)",
-    )
-    p_perf.add_argument(
-        "--progress",
-        action="store_true",
-        help="per-cell heartbeat lines on stderr across all phases",
-    )
-    p_perf.set_defaults(func=_cmd_bench_perf)
 
     p_flows = sub.add_parser(
         "flows", help="list registered mapping flows and available passes"
@@ -1780,11 +1538,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q_report.set_defaults(func=_cmd_qor_report)
 
-    from repro.obs.perfrec import DEFAULT_HISTORY_PATH
-
     p_perfobs = sub.add_parser(
         "perf",
-        help="perf observatory: hotspots, flame graphs, records, gating",
+        help="trace analytics: self-time hotspots and flame graphs",
     )
     perf_sub = p_perfobs.add_subparsers(dest="perf_command", required=True)
 
@@ -1828,38 +1584,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="heartbeat lines on stderr while the suite runs",
         )
 
-    def add_measure_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--quick",
-            action="store_true",
-            help="CI-sized bench-perf subset instead of the full suite",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=2,
-            metavar="N",
-            help="worker processes added to the matrix legs' jobs sweep "
-            "(default 2)",
-        )
-        p.add_argument("--label", default="", help="free-form record label")
-        p.add_argument(
-            "--timestamp",
-            default=None,
-            help="created_at stamp (default: now, UTC ISO-8601)",
-        )
-        p.add_argument(
-            "--progress",
-            action="store_true",
-            help="per-cell heartbeat lines on stderr while measuring",
-        )
-        p.add_argument(
-            "--history",
-            default=DEFAULT_HISTORY_PATH,
-            metavar="FILE",
-            help="perf history file (default: %s)" % DEFAULT_HISTORY_PATH,
-        )
-
     pf_top = perf_sub.add_parser(
         "top",
         help="run the suite under one traced root; print the self-time "
@@ -1886,55 +1610,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="write the folded stacks to this file"
     )
     pf_flame.set_defaults(func=_cmd_perf_flame)
-
-    pf_record = perf_sub.add_parser(
-        "record",
-        help="measure the perf trajectory and append it to the history",
-    )
-    add_measure_options(pf_record)
-    pf_record.add_argument(
-        "--no-append",
-        action="store_true",
-        help="do not append the record to the history file",
-    )
-    pf_record.add_argument(
-        "-o", "--output", help="also save the record to this file"
-    )
-    pf_record.set_defaults(func=_cmd_perf_record)
-
-    pf_diff = perf_sub.add_parser(
-        "diff",
-        help="diff two perf records; nonzero exit on gated regressions",
-    )
-    pf_diff.add_argument(
-        "baseline", help="baseline record, bench payload, or history file"
-    )
-    pf_diff.add_argument(
-        "current", help="current record, bench payload, or history file"
-    )
-    pf_diff.add_argument(
-        "--markdown", metavar="FILE", help="also write the markdown dashboard"
-    )
-    pf_diff.set_defaults(func=_cmd_perf_diff)
-
-    pf_gate = perf_sub.add_parser(
-        "gate",
-        help="measure (or load --current) and diff against the history's "
-        "best-matching baseline; nonzero exit on regressions",
-    )
-    add_measure_options(pf_gate)
-    pf_gate.add_argument(
-        "--current",
-        metavar="FILE",
-        help="gate this pre-measured record/payload instead of re-measuring",
-    )
-    pf_gate.add_argument(
-        "-o", "--output", help="also save the fresh record to this file"
-    )
-    pf_gate.add_argument(
-        "--markdown", metavar="FILE", help="also write the markdown dashboard"
-    )
-    pf_gate.set_defaults(func=_cmd_perf_gate)
 
     return parser
 

@@ -10,7 +10,7 @@ mapping.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.network.network import AND, OR
 from repro.truth.truthtable import TruthTable
@@ -61,33 +61,6 @@ class NotExpr:
 Expr = object  # Leaf | OpExpr | NotExpr
 
 
-def iter_leaves(expr) -> Iterator[Leaf]:
-    """Yield every Leaf in the expression, left to right."""
-    stack = [expr]
-    out: List[Leaf] = []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node)
-        elif isinstance(node, NotExpr):
-            stack.append(node.child)
-        else:
-            stack.extend(reversed(node.children))
-    # The stack walk above visits in reverse; rebuild order.
-    return iter(out)
-
-
-def leaf_keys(expr) -> List:
-    """Distinct leaf keys in first-appearance order."""
-    seen = set()
-    order = []
-    for leaf in iter_leaves(expr):
-        if leaf.key not in seen:
-            seen.add(leaf.key)
-            order.append(leaf.key)
-    return order
-
-
 def evaluate(expr, values: Dict) -> bool:
     """Evaluate the expression given leaf-key truth values."""
     if isinstance(expr, Leaf):
@@ -133,7 +106,3 @@ def _eval_words(expr, words: Dict, ones: int) -> int:
             acc |= _eval_words(child, words, ones)
     return acc
 
-
-def count_leaf_refs(expr) -> int:
-    """Total leaf references (with multiplicity)."""
-    return sum(1 for _ in iter_leaves(expr))

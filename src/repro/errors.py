@@ -34,7 +34,7 @@ class FlowError(ReproError):
 
 
 class PerfError(ReproError):
-    """Malformed perf record/history file or unreadable trace input."""
+    """Unreadable or malformed trace input to ``chortle perf top|flame``."""
 
 
 class VerificationError(ReproError):

@@ -1,12 +1,12 @@
 """Progress streaming: per-cell heartbeat events for long sweeps.
 
-A benchmark sweep or perf trajectory is minutes of silence unless
-something reports progress.  :class:`ProgressEmitter` is that
-something: the suite runner and ``bench-perf`` hand it one
-``cell_started`` / ``cell_finished`` pair per (circuit, K, mapper)
-cell, and it emits structured :class:`ProgressEvent` records —
-rendered as single-line heartbeats on a stream (``--progress``),
-forwarded to an optional callback, and/or appended as JSON lines.
+A benchmark or lint sweep is minutes of silence unless something
+reports progress.  :class:`ProgressEmitter` is that something: the
+suite runner and ``lint --suite`` hand it one ``cell_started`` /
+``cell_finished`` pair per (circuit, K, mapper) cell, and it emits
+structured :class:`ProgressEvent` records — rendered as single-line
+heartbeats on a stream (``--progress``), forwarded to an optional
+callback, and/or appended as JSON lines.
 
 The callback/JSONL paths are the streaming substrate the ROADMAP's
 mapping-as-a-service item needs: a server can hand ``run_suite`` an
@@ -44,7 +44,7 @@ class ProgressEvent:
     circuit: str
     k: int
     mapper: str
-    phase: str  # "" outside bench-perf; the phase name inside it
+    phase: str  # "" for a mapping sweep; "lint" inside lint --suite
     finished: int  # cells finished so far (including this one if FINISHED)
     total: int
     elapsed_seconds: float

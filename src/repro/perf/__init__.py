@@ -1,6 +1,6 @@
-"""Performance layer: structural memoization, parallel mapping, perf bench.
+"""Performance layer: structural memoization and parallel mapping.
 
-Three coordinated pieces (see ``docs/PERFORMANCE.md``):
+Two coordinated pieces (see ``docs/PERFORMANCE.md``):
 
 * :mod:`repro.perf.lru` / :mod:`repro.perf.memo` — a metrics-
   instrumented LRU of canonical node tables keyed by structural
@@ -8,9 +8,11 @@ Three coordinated pieces (see ``docs/PERFORMANCE.md``):
   on-disk persistence.  Cache hits rehydrate to results bit-identical
   to the uncached tree DP.
 * :mod:`repro.perf.parallel` — deterministic process-pool fan-out of
-  forest trees (tree-level) and benchmark suite cells (suite-level).
-* :mod:`repro.perf.benchperf` — the measured perf trajectory behind
-  ``chortle bench-perf`` and the committed ``BENCH_perf.json``.
+  forest trees (tree-level) and benchmark suite cells (suite-level),
+  on the fork-once worker pool of :mod:`repro.perf.pool`.
+
+Timing lives outside the package: ``benchmarks/e2e`` is the one
+benchmark harness.
 
 Submodule attributes are re-exported lazily: :mod:`repro.perf.lru` must
 stay importable from low layers (``repro.truth.canonical`` uses it), so
@@ -31,9 +33,6 @@ _EXPORTS = {
     "resolve_cache": "repro.perf.memo",
     "map_trees_processes": "repro.perf.parallel",
     "run_cells_processes": "repro.perf.parallel",
-    "run_bench_perf": "repro.perf.benchperf",
-    "render_bench_perf": "repro.perf.benchperf",
-    "save_bench_perf": "repro.perf.benchperf",
 }
 
 __all__ = sorted(_EXPORTS)

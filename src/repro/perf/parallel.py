@@ -57,8 +57,7 @@ submitted work unit records:
 The parent folds all of it into the process-wide metrics registry
 under ``perf.parallel.*`` (microsecond-integer counters so
 ``counter_delta`` attribution works, plus seconds histograms); the
-``bench-perf`` harness turns the deltas into the per-phase ``workers``
-buckets via :func:`worker_buckets`.
+benchmark's ``pool.*`` layer metrics are read from these counters.
 """
 
 from __future__ import annotations
@@ -128,36 +127,6 @@ def record_worker_telemetry(
             metrics.count("perf.parallel.cache_" + key, count)
     metrics.observe("perf.parallel.queue_wait", telemetry["queue_wait"])
     metrics.observe("perf.parallel.task_seconds", telemetry["task_seconds"])
-
-
-def worker_buckets(delta: Dict[str, int], jobs: int) -> Dict[str, object]:
-    """Summarize a ``perf.parallel.*`` counter delta into named buckets.
-
-    The bench-perf harness records this as the parallel phase's
-    ``workers`` block: enough to attribute the wall clock to compute vs
-    queue wait vs serialization and decide which one to attack.
-    """
-    buckets: Dict[str, object] = {
-        "jobs": jobs,
-        "tasks": delta.get("perf.parallel.tasks", 0),
-        "compute_seconds": round(
-            delta.get("perf.parallel.task_us", 0) / 1e6, 4
-        ),
-        "queue_wait_seconds": round(
-            delta.get("perf.parallel.queue_wait_us", 0) / 1e6, 4
-        ),
-        "pickle_bytes": delta.get("perf.parallel.pickle_bytes", 0),
-    }
-    misses = delta.get("perf.parallel.subject_miss", 0)
-    if misses:
-        buckets["subject_misses"] = misses
-    cache = {
-        key: delta.get("perf.parallel.cache_" + key, 0)
-        for key in _CACHE_COUNTERS
-    }
-    if any(cache.values()):
-        buckets["worker_cache"] = cache
-    return buckets
 
 
 def _submit_with_bytes(pool, fn, payload) -> Tuple[object, int]:

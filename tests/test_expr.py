@@ -4,19 +4,10 @@ import random
 
 import pytest
 
-from repro.core.expr import (
-    Leaf,
-    NotExpr,
-    OpExpr,
-    count_leaf_refs,
-    evaluate,
-    iter_leaves,
-    leaf_keys,
-    to_truth_table,
-)
+from repro.core.expr import Leaf, NotExpr, OpExpr, evaluate, to_truth_table
 from repro.network.network import AND, OR
 from repro.truth.truthtable import TruthTable
-from tests.util import minterm_truth_table
+from tests.util import iter_leaves, leaf_keys, minterm_truth_table
 
 
 def sample_expr():
@@ -43,9 +34,6 @@ class TestStructure:
 
     def test_leaf_keys_dedup(self):
         assert leaf_keys(sample_expr()) == ["a", "b", "c"]
-
-    def test_count_leaf_refs(self):
-        assert count_leaf_refs(sample_expr()) == 4
 
     def test_reprs(self):
         assert "Leaf" in repr(Leaf("a"))

@@ -143,23 +143,3 @@ class TestSuiteIntegration:
         assert all(
             e.seconds > 0 for e in events if e.kind == FINISHED
         )
-
-    def test_bench_perf_emits_across_phases(self):
-        from repro.perf.benchperf import run_bench_perf
-
-        events = []
-        emitter = ProgressEmitter(total=0, callback=events.append)
-        payload = run_bench_perf(
-            circuits=["9symml"],
-            ks=(3,),
-            jobs=2,
-            created_at="t",
-            progress=emitter,
-            matrix=False,
-        )
-        assert payload["qor_identical"] is True
-        # One started+finished pair per cell per phase.
-        assert emitter.total == 3
-        phases = {e.phase for e in events}
-        assert phases == {"serial_uncached", "cold_cache", "warm_cache"}
-        assert emitter.finished == 3

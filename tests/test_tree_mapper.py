@@ -4,7 +4,11 @@ import math
 
 import pytest
 
-from tests.util import make_random_network, make_random_tree_network
+from tests.util import (
+    leaf_keys,
+    make_random_network,
+    make_random_tree_network,
+)
 from repro.core.divisions import exhaustive_map_tree
 from repro.core.forest import build_forest
 from repro.core.tree_mapper import ExtItem, MapCand, TreeMapper
@@ -252,7 +256,5 @@ class TestCandidateStructure:
         b.output("y", b.or_(b.and_(a, c), ~d))
         cand = map_single_tree(b.network(), 4)
         expr = cand.expr()
-        from repro.core.expr import leaf_keys
-
         keys = leaf_keys(expr)
         assert len(keys) == 3

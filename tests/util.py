@@ -81,3 +81,25 @@ def minterm_truth_table(expr, key_order):
         if evaluate(expr, values):
             bits |= 1 << m
     return TruthTable(n, bits)
+
+
+def iter_leaves(expr):
+    """Every ``Leaf`` of a ``repro.core.expr`` expression, left to right."""
+    from repro.core.expr import Leaf, NotExpr
+
+    stack = [expr]
+    out = []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node)
+        elif isinstance(node, NotExpr):
+            stack.append(node.child)
+        else:
+            stack.extend(reversed(node.children))
+    return out
+
+
+def leaf_keys(expr):
+    """Distinct leaf keys of an expression in first-appearance order."""
+    return list(dict.fromkeys(leaf.key for leaf in iter_leaves(expr)))
