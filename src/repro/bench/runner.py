@@ -13,19 +13,16 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.mcnc import TABLE_CIRCUITS
 from repro.errors import BenchError, FlowError
-from repro.flow.mappers import mapper_names, resolve_mapper, supports_k
+from repro.flow.mappers import (
+    mapper_names,
+    resolve_mapper,
+    supported_k_range,
+    supports_k,
+)
 from repro.network.network import BooleanNetwork
 from repro.obs import capture, metrics, span
 from repro.report import MappingReport, build_report
@@ -33,39 +30,6 @@ from repro.verify import verify_equivalence
 
 if TYPE_CHECKING:
     from repro.obs.qor import RunRecord
-
-
-def _factory(name: str) -> Callable[[int], object]:
-    return lambda k: resolve_mapper(name, k)
-
-
-#: Every mapper the suite can sweep — the raw algorithmic mappers plus the
-#: registered flows — resolved through the flow engine's common protocol.
-MAPPER_FACTORIES: Dict[str, Callable[[int], object]] = {
-    name: _factory(name) for name in mapper_names()
-}
-
-
-def mapper_factory(name: str) -> Callable[[int], object]:
-    """The factory for ``name`` — a known mapper, a registered flow, or a
-    comma-separated flow spec — or a clean error naming the valid names."""
-    try:
-        return MAPPER_FACTORIES[name]
-    except KeyError:
-        pass
-    from repro.flow.registry import get_registry
-
-    try:
-        flow = get_registry().resolve(name)
-        if not flow.is_mapping_flow:
-            raise FlowError("flow %r does not produce a LUT circuit" % name)
-    except FlowError:
-        raise BenchError(
-            "unknown mapper %r; valid mappers: %s (or a flow spec such as "
-            "'sweep,strash,chortle,merge')"
-            % (name, ", ".join(sorted(MAPPER_FACTORIES)))
-        ) from None
-    return _factory(name)
 
 
 _CSV_FIELDS = [
@@ -236,7 +200,14 @@ def run_suite(
         circuits = TABLE_CIRCUITS
     # Fail fast on bad mapper names, before any (expensive) mapping runs.
     for name in mappers:
-        mapper_factory(name)
+        try:
+            supported_k_range(name)
+        except FlowError:
+            raise BenchError(
+                "unknown mapper %r; valid mappers: %s (or a flow spec such "
+                "as 'sweep,strash,chortle,merge')"
+                % (name, ", ".join(mapper_names()))
+            ) from None
     from repro.bench.adversarial import resolve_cell
 
     networks: List[BooleanNetwork] = []
@@ -247,8 +218,9 @@ def run_suite(
             networks.append(resolve_cell(str(entry)))
 
     # Mixed sweeps may pair a mapper with a K it cannot do (mis stops at
-    # K=5, the cut mappers at K=6); those cells are skipped rather than
-    # failing the whole sweep, and the skip count is observable.
+    # K=5, the cut mappers at K=6, a flow where its map pass stops);
+    # those cells are skipped rather than failing the whole sweep, and
+    # the skip count is observable.
     cells: List[Tuple[BooleanNetwork, int, str]] = [
         (net, k, mapper_name)
         for net in networks

@@ -104,46 +104,25 @@ def _save_cli_cache(args: argparse.Namespace, cache) -> None:
 
 
 def _resolve_cli_mapper(args: argparse.Namespace, cache=None):
-    """Resolve the mapper named by --flow / --mapper; returns (name, mapper).
+    """The mapper named by ``--flow`` (which wins) or ``--mapper``.
 
-    ``--flow`` takes a registered flow name or a comma-separated pass
-    spec and wins over ``--mapper``; ``--checked`` turns on per-pass
-    equivalence verification and therefore needs a flow (the registered
-    ``area`` / ``delay`` mappers count).  ``cache`` and ``--jobs`` are
-    the performance-layer options, forwarded to the chortle engine
-    wherever it appears in the resolved mapper.
+    ``--checked [METHOD]`` and ``--lint`` verify or lint every stage, so
+    they run the name as a flow; a raw mapper name runs as its one-stage
+    flow.  ``cache`` and ``--jobs`` are the performance-layer options,
+    forwarded to the map pass wherever it appears.
     """
-    flow_spec = getattr(args, "flow", None)
     # --checked is an optional-value flag: None (off), or the verify
     # method "sim"/"sat"/"auto" (bare --checked means "sim").
-    checked_method = getattr(args, "checked", None)
-    if checked_method is True:  # legacy boolean namespaces (tests, API)
-        checked_method = "sim"
-    checked = bool(checked_method)
-    lint = bool(getattr(args, "lint", False))
-    explain = bool(getattr(args, "explain", False))
-    jobs = int(getattr(args, "jobs", 1) or 1)
-    if flow_spec:
-        from repro.flow import FlowMapperAdapter
-
-        config = {}
-        if cache is not None:
-            config["cache"] = cache
-        if jobs != 1:
-            config["jobs"] = jobs
-        flow = get_registry().resolve(flow_spec)
-        return flow.name, FlowMapperAdapter(
-            flow, k=args.k, checked=checked, lint=lint, explain=explain,
-            config=config, verify_method=checked_method or "sim",
-        )
-    if (checked or lint) and args.mapper not in get_registry():
-        raise ReproError(
-            "--%s requires a flow; use --flow, or a flow mapper (%s)"
-            % ("checked" if checked else "lint", ", ".join(get_registry().names()))
-        )
-    return args.mapper, resolve_mapper(
-        args.mapper, args.k, checked=checked, lint=lint, cache=cache,
-        jobs=jobs, explain=explain, verify_method=checked_method or "sim",
+    checked = getattr(args, "checked", None)
+    return resolve_mapper(
+        args.flow or args.mapper,
+        args.k,
+        checked=bool(checked),
+        lint=bool(getattr(args, "lint", False)),
+        cache=cache,
+        jobs=int(getattr(args, "jobs", 1) or 1),
+        explain=bool(getattr(args, "explain", False)),
+        verify_method=checked or "sim",
     )
 
 
@@ -202,7 +181,8 @@ def _print_stage_table(sink, stream=None) -> None:
 def _cmd_map(args: argparse.Namespace) -> int:
     net = _load_network(args.input, args.factor, getattr(args, "minimize", False))
     cache = _cli_cache(args)
-    mapper_name, mapper = _resolve_cli_mapper(args, cache=cache)
+    mapper = _resolve_cli_mapper(args, cache=cache)
+    mapper_name = mapper.name
     counters_before = get_metrics().counters()
     # Timing is routed through the tracer: the run is wrapped in one
     # span and the elapsed time read back from the captured record.
@@ -299,7 +279,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Map with tracing on and print the span tree + counter summary."""
     net = _load_network(args.input, args.factor, getattr(args, "minimize", False))
     cache = _cli_cache(args)
-    mapper_name, mapper = _resolve_cli_mapper(args, cache=cache)
+    mapper = _resolve_cli_mapper(args, cache=cache)
+    mapper_name = mapper.name
     registry = get_metrics()
     counters_before = registry.counters()
     # span() must be evaluated after capture() attaches its sink, or it
@@ -367,7 +348,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.explain import render_explanation
 
     net = _explain_network(args.input)
-    mapper_name, mapper = _resolve_cli_mapper(args)
+    mapper = _resolve_cli_mapper(args)
+    mapper_name = mapper.name
     circuit = mapper.map(net)
     explanation = getattr(mapper, "explanation", None)
     if explanation is None:
@@ -1010,8 +992,52 @@ def _cmd_perf_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_perf_options(p: argparse.ArgumentParser) -> None:
-    """The performance-layer flags shared by ``map`` and ``profile``."""
+def _add_mapping_options(
+    p: argparse.ArgumentParser, default_mapper: str
+) -> None:
+    """The input, mapper choice, front end, trace and performance-layer
+    options shared by ``map`` and ``profile``."""
+    p.add_argument("input", help="input BLIF file")
+    p.add_argument("-k", type=int, default=4, help="LUT input count (default 4)")
+    p.add_argument(
+        "--mapper",
+        choices=mapper_names(),
+        default=default_mapper,
+        help="mapping algorithm or registered flow (default %(default)s)",
+    )
+    p.add_argument(
+        "--flow",
+        metavar="NAME_OR_SPEC",
+        help="map with a registered flow or a comma-separated pass spec "
+        "(e.g. 'sweep,strash,chortle,merge'); overrides --mapper",
+    )
+    p.add_argument(
+        "--checked",
+        nargs="?",
+        const="sim",
+        default=None,
+        choices=["sim", "sat", "auto"],
+        metavar="METHOD",
+        help="verify functional equivalence after every flow pass (a "
+        "mapper name runs as its one-stage flow); optional METHOD picks "
+        "how: sim (default, exhaustive-or-random simulation), sat (formal "
+        "proof), or auto (exhaustive below 14 inputs, SAT proof above)",
+    )
+    p.add_argument(
+        "--factor",
+        action="store_true",
+        help="algebraically factor each table before mapping (MIS-script style)",
+    )
+    p.add_argument(
+        "--minimize",
+        action="store_true",
+        help="two-level minimize each table (implies --factor)",
+    )
+    p.add_argument(
+        "--trace",
+        metavar="FILE",
+        help="write a JSON-lines trace of mapping spans to FILE",
+    )
     p.add_argument(
         "--jobs",
         type=int,
@@ -1044,48 +1070,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="map a BLIF network into K-input LUTs")
-    p_map.add_argument("input", help="input BLIF file")
-    p_map.add_argument("-k", type=int, default=4, help="LUT input count (default 4)")
+    _add_mapping_options(p_map, default_mapper="chortle")
     p_map.add_argument("-o", "--output", help="output BLIF file (default stdout)")
-    p_map.add_argument(
-        "--mapper",
-        choices=mapper_names(),
-        default="chortle",
-        help="mapping algorithm or registered flow (default chortle)",
-    )
-    p_map.add_argument(
-        "--flow",
-        metavar="NAME_OR_SPEC",
-        help="map with a registered flow or a comma-separated pass spec "
-        "(e.g. 'sweep,strash,chortle,merge'); overrides --mapper",
-    )
-    p_map.add_argument(
-        "--checked",
-        nargs="?",
-        const="sim",
-        default=None,
-        choices=["sim", "sat", "auto"],
-        metavar="METHOD",
-        help="verify functional equivalence after every flow pass "
-        "(requires a flow); optional METHOD picks how: sim (default, "
-        "exhaustive-or-random simulation), sat (formal proof), or auto "
-        "(exhaustive below 14 inputs, SAT proof above)",
-    )
     p_map.add_argument(
         "--lint",
         action="store_true",
         help="run the lint rules after every flow pass, attribute findings "
-        "to the emitting stage, and exit nonzero on errors (requires a flow)",
-    )
-    p_map.add_argument(
-        "--factor",
-        action="store_true",
-        help="algebraically factor each table before mapping (MIS-script style)",
-    )
-    p_map.add_argument(
-        "--minimize",
-        action="store_true",
-        help="two-level minimize each table (implies --factor)",
+        "to the emitting stage, and exit nonzero on errors (a mapper name "
+        "runs as its one-stage flow)",
     )
     p_map.add_argument(
         "--verify",
@@ -1125,59 +1117,21 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON to FILE",
     )
     p_map.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="write a JSON-lines trace of mapping spans to FILE",
-    )
-    p_map.add_argument(
         "--profile",
         action="store_true",
         help="print a per-stage timing table to stderr",
     )
-    _add_perf_options(p_map)
     p_map.set_defaults(func=_cmd_map)
 
     p_profile = sub.add_parser(
         "profile", help="map with tracing on; print span tree and counters"
     )
-    p_profile.add_argument("input", help="input BLIF file")
-    p_profile.add_argument(
-        "-k", type=int, default=4, help="LUT input count (default 4)"
-    )
-    p_profile.add_argument(
-        "--mapper",
-        choices=mapper_names(),
-        default="area",
-        help="mapping flow to profile (default: the composed area flow)",
-    )
-    p_profile.add_argument(
-        "--flow",
-        metavar="NAME_OR_SPEC",
-        help="profile a registered flow or comma-separated pass spec",
-    )
-    p_profile.add_argument(
-        "--checked",
-        nargs="?",
-        const="sim",
-        default=None,
-        choices=["sim", "sat", "auto"],
-        metavar="METHOD",
-        help="verify functional equivalence after every flow pass "
-        "(method: sim, sat, or auto; bare --checked means sim)",
-    )
-    p_profile.add_argument("--factor", action="store_true")
-    p_profile.add_argument("--minimize", action="store_true")
-    p_profile.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="also write the JSON-lines trace to FILE",
-    )
+    _add_mapping_options(p_profile, default_mapper="area")
     p_profile.add_argument(
         "--trees",
         action="store_true",
         help="include one span per mapped tree (verbose)",
     )
-    _add_perf_options(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_explain = sub.add_parser(

@@ -20,12 +20,7 @@ from repro.network.network import BooleanNetwork
 from repro.network.transform import sweep
 from repro.obs import metrics, span
 
-#: Backward-compatible aliases: emission and output plumbing moved to the
-#: mapper-agnostic substrate (:mod:`repro.core.substrate`) so tree-DP and
-#: DAG-cover mappers share one back end.
-_emit_candidate = emit_candidate
-
-__all__ = ["ChortleMapper", "map_network", "wire_outputs", "_emit_candidate"]
+__all__ = ["ChortleMapper", "map_network"]
 
 
 class ChortleMapper:

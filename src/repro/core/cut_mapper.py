@@ -93,8 +93,6 @@ class CutMapper:
     mapper's per-tree grouping.
     """
 
-    name = "cutmap"  # spec name under the common Mapper protocol
-
     def __init__(
         self,
         k: int = 4,
@@ -115,6 +113,8 @@ class CutMapper:
         self.k = k
         self.priority_size = priority_size
         self.mode = mode
+        # Spec name under the common Mapper protocol, one per objective.
+        self.name = "cutmap" if mode == "area" else "cutmap_delay"
         self.rounds = rounds
         self.preprocess = preprocess
         from repro.perf.memo import resolve_cache

@@ -23,9 +23,6 @@ than the tree path being privileged:
   AND/OR network, so two *circuits* can be compared through
   :func:`repro.verify.verify_network_equivalence` (the cross-mapper
   equivalence fuzz path).
-
-``repro.core.chortle`` re-exports :func:`wire_outputs` and
-``_emit_candidate`` for backward compatibility.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Declarative mapping flows: typed pass chains with uniform checking.
 
 The flow engine is the one place the repository composes mapping
-pipelines.  A *pass* transforms a network or a LUT circuit
+pipelines and builds mappers.  A *pass* transforms a network or a LUT
+circuit, and the map passes form the one table of technology mappers
 (:mod:`repro.flow.passes`); a *flow* is a type-checked chain of passes
-(:mod:`repro.flow.engine`); the *registry* names the built-in ``area``
-and ``delay`` flows and parses custom comma-separated specs
-(:mod:`repro.flow.registry`); and every mapper — raw or composed — is
-resolvable behind one protocol (:mod:`repro.flow.mappers`)::
+(:mod:`repro.flow.engine`); the *registry* names the built-in flows of
+``BUILTIN_FLOWS`` and parses custom comma-separated specs
+(:mod:`repro.flow.registry`); and :func:`resolve_mapper` turns every
+name — raw mapper, flow, or spec — into a mapper behind one protocol
+(:mod:`repro.flow.mappers`)::
 
     from repro.flow import FlowContext, get_registry
 
@@ -20,7 +22,6 @@ verification uniformly; see ``docs/OBSERVABILITY.md``.
 
 from repro.flow.engine import Flow, FlowContext, StageResult
 from repro.flow.mappers import (
-    CORE_MAPPERS,
     FlowMapperAdapter,
     Mapper,
     MapperCapabilities,
@@ -30,30 +31,25 @@ from repro.flow.mappers import (
 )
 from repro.flow.passes import (
     CIRCUIT,
+    MAP_PASSES,
     NETWORK,
+    PASSES,
     CircuitPass,
     MapPass,
     NetworkPass,
     Pass,
 )
-from repro.flow.registry import (
-    PASSES,
-    FlowRegistry,
-    area_cut_flow,
-    area_flow,
-    delay_cut_flow,
-    delay_flow,
-    get_registry,
-)
+from repro.flow.registry import BUILTIN_FLOWS, FlowRegistry, get_registry
 
 __all__ = [
+    "BUILTIN_FLOWS",
     "CIRCUIT",
-    "CORE_MAPPERS",
     "CircuitPass",
     "Flow",
     "FlowContext",
     "FlowMapperAdapter",
     "FlowRegistry",
+    "MAP_PASSES",
     "MapPass",
     "Mapper",
     "MapperCapabilities",
@@ -62,10 +58,6 @@ __all__ = [
     "PASSES",
     "Pass",
     "StageResult",
-    "area_cut_flow",
-    "area_flow",
-    "delay_cut_flow",
-    "delay_flow",
     "get_registry",
     "mapper_capabilities",
     "mapper_names",

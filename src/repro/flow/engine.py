@@ -32,19 +32,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.lut import LUTCircuit
 from repro.errors import FlowError, VerificationError
-from repro.flow.passes import CIRCUIT, NETWORK, Pass
+from repro.flow.passes import NETWORK, MapPass, Pass
 from repro.network.network import BooleanNetwork
 from repro.obs import metrics, span
+
+#: Random vectors checked mode simulates per stage when a network has
+#: too many inputs for exhaustive simulation.
+VERIFY_VECTORS = 1024
 
 
 @dataclass
 class FlowContext:
     """Everything run-specific, threaded through every stage of a flow.
 
-    ``config`` holds pass options (``slack``, ``split_threshold``,
-    ``refactor_max_leaves``...) read via :meth:`option`; ``sinks`` are
-    extra trace sinks attached to the global tracer for the duration of
-    the run; ``stages`` is filled by the engine with one
+    ``config`` holds the options a map pass reads via :meth:`option`:
+    ``cache`` and ``jobs`` (the performance layer, see
+    :mod:`repro.perf`) and ``slack`` (the depth bound of
+    ``depthbounded``); ``stages`` is filled by the engine with one
     :class:`StageResult` per executed stage.
     """
 
@@ -52,13 +56,11 @@ class FlowContext:
     checked: bool = False
     lint: bool = False
     explain: bool = False
-    verify_vectors: int = 1024
     # How checked mode verifies each stage: "sim" (historical
     # exhaustive-or-random simulation), "sat" (formal proof), or "auto"
     # (exhaustive below the input limit, SAT proof above it).
     verify_method: str = "sim"
     config: Dict[str, object] = field(default_factory=dict)
-    sinks: Tuple = ()
     stages: List[StageResult] = field(default_factory=list)
     # Filled by the engine when ``lint`` is set: every diagnostic the
     # lint rules raised on any stage's output, attributed to the
@@ -128,9 +130,14 @@ class Flow:
         return self.passes[-1].output_domain
 
     @property
-    def is_mapping_flow(self) -> bool:
-        """True when the flow maps a network all the way to a LUT circuit."""
-        return self.input_domain == NETWORK and self.output_domain == CIRCUIT
+    def map_pass(self) -> Optional[MapPass]:
+        """The flow's mapper stage, or None for a flow that maps nothing.
+
+        Domain chaining admits at most one ``network -> circuit`` stage,
+        so a mapping flow has exactly one; the flow's capabilities and K
+        range are that pass's.
+        """
+        return next((p for p in self.passes if isinstance(p, MapPass)), None)
 
     @property
     def spec(self) -> str:
@@ -148,18 +155,6 @@ class Flow:
                 % (self.name, self.input_domain)
             )
         ctx = ctx if ctx is not None else FlowContext()
-        from repro.obs import get_tracer
-
-        tracer = get_tracer()
-        for sink in ctx.sinks:
-            tracer.add_sink(sink)
-        try:
-            return self._run(network, ctx)
-        finally:
-            for sink in ctx.sinks:
-                tracer.remove_sink(sink)
-
-    def _run(self, network: BooleanNetwork, ctx: FlowContext):
         metrics.count("flow.runs")
         with span(
             "flow.run", flow=self.name, network=network.name, k=ctx.k,
@@ -218,12 +213,12 @@ class Flow:
         try:
             if isinstance(out, LUTCircuit):
                 verify_equivalence(
-                    golden, out, vectors=ctx.verify_vectors,
+                    golden, out, vectors=VERIFY_VECTORS,
                     method=ctx.verify_method,
                 )
             else:
                 verify_network_equivalence(
-                    golden, out, vectors=ctx.verify_vectors,
+                    golden, out, vectors=VERIFY_VECTORS,
                     method=ctx.verify_method,
                 )
         except VerificationError as exc:

@@ -1,31 +1,27 @@
-"""The common mapper protocol and flow-to-mapper adaptation.
+"""The common mapper protocol and the one mapper resolver.
 
 Everything that maps a :class:`~repro.network.network.BooleanNetwork`
 into a :class:`~repro.core.lut.LUTCircuit` — the raw algorithmic mappers
-(chortle, mis, flowmap, binpack, depthbounded) and the composed flows
-(area, delay, custom specs) — is exposed behind one :class:`Mapper`
-protocol, so the CLI and the benchmark runner resolve every name the
-same way::
+of :data:`~repro.flow.passes.MAP_PASSES` and the composed flows (area,
+delay, custom specs) — is exposed behind one :class:`Mapper` protocol,
+and :func:`resolve_mapper` is the only place a name becomes a mapper,
+so the CLI, the benchmark runner and the lint suite resolve every name
+the same way::
 
     resolve_mapper("chortle", k=4)                  # raw ChortleMapper
+    resolve_mapper("chortle", k=4, checked=True)    # its one-stage flow
     resolve_mapper("delay", k=4)                    # registered flow
     resolve_mapper("sweep,strash,chortle", k=4)     # ad-hoc flow spec
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Tuple
+from typing import List, NamedTuple, Optional, Protocol, Tuple
 
-from repro.baseline.mis_mapper import MisMapper
-from repro.core.chortle import ChortleMapper
-from repro.core.cut_mapper import CutMapper
-from repro.core.cuts import MAX_CUT_SIZE, MIN_CUT_SIZE
 from repro.core.lut import LUTCircuit
 from repro.errors import FlowError
-from repro.extensions.binpack import BinPackMapper
-from repro.extensions.flowmap import FlowMapper
-from repro.extensions.pareto import DepthBoundedMapper
 from repro.flow.engine import Flow, FlowContext
+from repro.flow.passes import MAP_PASSES, PASSES, MapPass
 from repro.flow.registry import get_registry
 from repro.network.network import BooleanNetwork
 
@@ -37,24 +33,6 @@ class Mapper(Protocol):
 
     def map(self, network: BooleanNetwork) -> LUTCircuit:
         ...  # pragma: no cover - protocol
-
-
-#: Factories for the raw algorithmic mappers, keyed by spec name.  Every
-#: factory takes (k, **perf_opts); mappers without a parallel/memoized
-#: engine simply ignore the perf options.
-CORE_MAPPERS: Dict[str, Callable[..., Mapper]] = {
-    "chortle": lambda k, **opts: ChortleMapper(k=k, **opts),
-    "cutmap": lambda k, cache=None, recorder=None, **opts: CutMapper(
-        k=k, cache=cache, recorder=recorder
-    ),
-    "mis": lambda k, **opts: MisMapper(k=k),
-    "flowmap": lambda k, **opts: FlowMapper(k=k),
-    "binpack": lambda k, **opts: BinPackMapper(k=k),
-    "depthbounded": lambda k, **opts: DepthBoundedMapper(k=k, slack=0),
-}
-
-#: Raw mappers that accept a ``recorder`` and expose decision provenance.
-RECORDING_MAPPERS = ("chortle", "cutmap")
 
 
 class MapperCapabilities(NamedTuple):
@@ -75,69 +53,38 @@ class MapperCapabilities(NamedTuple):
     description: str
 
 
-#: Capability rows for the raw mappers (flows derive theirs from the
-#: passes they contain).
-_CORE_CAPABILITIES: Dict[str, MapperCapabilities] = {
-    "chortle": MapperCapabilities(
-        "chortle", "core", True, True, (2, None),
-        "tree-DP area mapper (the paper's algorithm)",
-    ),
-    "cutmap": MapperCapabilities(
-        "cutmap", "core", True, True, (MIN_CUT_SIZE, MAX_CUT_SIZE),
-        "priority-cut DAG covering (area flow + exact-area recovery)",
-    ),
-    "mis": MapperCapabilities(
-        "mis", "core", False, False, (2, 5),
-        "MIS II library-matching baseline (kernel libraries stop at K=5)",
-    ),
-    "flowmap": MapperCapabilities(
-        "flowmap", "core", False, False, (2, None),
-        "depth-optimal max-flow min-cut mapping",
-    ),
-    "binpack": MapperCapabilities(
-        "binpack", "core", False, False, (2, None),
-        "fast first-fit-decreasing bin packing",
-    ),
-    "depthbounded": MapperCapabilities(
-        "depthbounded", "core", False, False, (2, None),
-        "minimum area under a depth bound",
-    ),
-}
-
-#: Map passes that bound K from the cut enumerator.
-_CUT_PASSES = ("cutmap", "cutmap_delay")
+def _capabilities(
+    name: str, kind: str, row: MapPass, description: str
+) -> MapperCapabilities:
+    return MapperCapabilities(
+        name, kind, row.records, row.cache_aware, row.k_range, description
+    )
 
 
 def mapper_capabilities() -> List[MapperCapabilities]:
     """Capability rows for every resolvable mapper name, sorted by name.
 
-    Core mappers report their intrinsic capabilities; registered flows
-    inherit from the passes they chain (a flow records provenance and
-    honours the cache iff it contains a recording map pass, and is
-    K-bounded iff it contains a cut-enumeration pass).
+    Each map pass reports its own row; a registered flow reports the
+    flags and K range of its one map pass, under its own description.
     """
-    rows = [
-        _CORE_CAPABILITIES.get(
-            name,
-            MapperCapabilities(name, "core", False, False, (2, None), ""),
-        )
-        for name in CORE_MAPPERS
-    ]
-    for flow in get_registry().flows():
-        pass_names = {p.name for p in flow.passes}
-        records = bool(pass_names & set(RECORDING_MAPPERS + _CUT_PASSES))
-        k_range: Tuple[int, Optional[int]] = (
-            (MIN_CUT_SIZE, MAX_CUT_SIZE)
-            if pass_names & set(_CUT_PASSES)
-            else (2, None)
-        )
-        rows.append(
-            MapperCapabilities(
-                flow.name, "flow", records, records, k_range,
-                flow.description or "",
-            )
-        )
+    rows = [_capabilities(p.name, "core", p, p.description) for p in MAP_PASSES]
+    rows.extend(
+        _capabilities(f.name, "flow", _map_pass(f), f.description)
+        for f in get_registry().flows()
+    )
     return sorted(rows)
+
+
+def _map_pass(flow: Flow) -> MapPass:
+    """The one map pass of a mapping flow; FlowError for any other flow."""
+    row = flow.map_pass
+    if row is None:
+        raise FlowError(
+            "flow %r ends in a %s, not a LUT circuit; a mapping flow "
+            "must finish with a map or circuit pass"
+            % (flow.name, flow.output_domain)
+        )
+    return row
 
 
 class FlowMapperAdapter:
@@ -153,12 +100,7 @@ class FlowMapperAdapter:
         config: Optional[dict] = None,
         verify_method: str = "sim",
     ):
-        if not flow.is_mapping_flow:
-            raise FlowError(
-                "flow %r ends in a %s, not a LUT circuit; a mapping flow "
-                "must finish with a map or circuit pass"
-                % (flow.name, flow.output_domain)
-            )
+        _map_pass(flow)
         self.flow = flow
         self.name = flow.name
         self.k = k
@@ -191,21 +133,21 @@ class FlowMapperAdapter:
 
 
 def mapper_names() -> List[str]:
-    """Every resolvable mapper name: raw mappers plus registered flows."""
-    return sorted(set(CORE_MAPPERS) | set(get_registry().names()))
+    """Every resolvable mapper name: map passes plus registered flows."""
+    return sorted([p.name for p in MAP_PASSES] + get_registry().names())
 
 
 def supported_k_range(name: str) -> Tuple[int, Optional[int]]:
-    """The LUT-width range the named mapper or flow supports.
+    """The LUT-width range of a mapper, registered flow, or flow spec.
 
-    ``(lo, hi)`` with ``hi = None`` meaning unbounded above.  Unknown
-    names get the permissive default — resolution will fail later with
-    a clearer error than a range check could give here.
+    ``(lo, hi)`` with ``hi = None`` meaning unbounded above: the range of
+    the map pass the name runs.  Raises :class:`FlowError` for a name
+    that neither names a map pass nor resolves to a mapping flow.
     """
-    for row in mapper_capabilities():
-        if row.name == name:
-            return row.k_range
-    return (2, None)
+    row = PASSES.get(name)
+    if not isinstance(row, MapPass):
+        row = _map_pass(get_registry().resolve(name))
+    return row.k_range
 
 
 def supports_k(name: str, k: int) -> bool:
@@ -224,49 +166,37 @@ def resolve_mapper(
     explain: bool = False,
     verify_method: str = "sim",
 ) -> Mapper:
-    """A ready-to-run mapper for a raw-mapper name, flow name, or flow spec.
+    """A ready-to-run mapper for a map-pass name, flow name, or flow spec.
+
+    A map-pass name gives the raw mapper its
+    :data:`~repro.flow.passes.MAP_PASSES` row builds, with no ``flow.*``
+    spans or counters.  Anything else — a registered flow, a spec, or a
+    map-pass name asked for ``checked`` or ``lint`` (which then runs as
+    its one-stage flow) — gives a :class:`FlowMapperAdapter`.
 
     ``cache`` and ``jobs`` are the performance-layer options (structural
     node-table memoization and tree mapping on ``jobs`` worker
-    processes; see :mod:`repro.perf`); they reach the chortle engine
-    whether it is resolved raw or as a stage of a flow.  The cut
-    mappers honour ``cache`` only; the other mappers ignore both.
+    processes; see :mod:`repro.perf`); they reach the map pass whether
+    it runs raw or as a stage of a flow, and mappers without them ignore
+    them.
 
     ``explain`` turns on decision provenance: a mapper that records
-    decisions (raw chortle, or any flow containing the chortle pass)
-    exposes a :class:`~repro.obs.explain.MappingExplanation` as its
+    decisions (chortle and the cut mappers, raw or in a flow) exposes a
+    :class:`~repro.obs.explain.MappingExplanation` as its
     ``explanation`` attribute after each ``map`` call; other mappers
     leave it ``None``.
 
     ``verify_method`` selects how checked mode verifies each stage:
     ``"sim"``, ``"sat"``, or ``"auto"`` (see :mod:`repro.verify`).
 
-    Raises :class:`FlowError` for names that are neither known mappers
-    nor parseable flow specs, and for ``checked`` on a raw mapper (only
-    flows support per-pass verification).
+    Raises :class:`FlowError` for names that are neither map passes nor
+    parseable mapping-flow specs.
     """
-    registry = get_registry()
-    if name in CORE_MAPPERS and name not in registry:
-        if checked or lint:
-            mode = "checked" if checked else "lint"
-            raise FlowError(
-                "mapper %r is not a flow; %s mode needs a flow "
-                "(registered flows: %s)"
-                % (name, mode, ", ".join(registry.names()))
-            )
-        opts: Dict[str, object] = {"cache": cache, "jobs": jobs}
-        if explain and name in RECORDING_MAPPERS:
-            from repro.obs.explain import DecisionRecorder
-
-            opts["recorder"] = DecisionRecorder()
-        return CORE_MAPPERS[name](k, **opts)
-    flow = registry.resolve(name)
-    config: Dict[str, object] = {}
-    if cache is not None:
-        config["cache"] = cache
-    if jobs != 1:
-        config["jobs"] = jobs
+    row = PASSES.get(name)
+    if isinstance(row, MapPass) and not (checked or lint):
+        return row.mapper(k, explain, cache=cache, jobs=jobs)
     return FlowMapperAdapter(
-        flow, k=k, checked=checked, lint=lint, explain=explain, config=config,
+        get_registry().resolve(name), k=k, checked=checked, lint=lint,
+        explain=explain, config={"cache": cache, "jobs": jobs},
         verify_method=verify_method,
     )

@@ -1,4 +1,4 @@
-"""The pass contract and the built-in passes.
+"""The pass contract, the built-in passes, and the mapper table.
 
 A *pass* is one stage of a mapping flow.  Every pass declares the domain
 it consumes and the domain it produces, so a :class:`~repro.flow.engine.Flow`
@@ -6,22 +6,32 @@ can type-check stage chaining at construction time:
 
 * :class:`NetworkPass` — ``BooleanNetwork -> BooleanNetwork`` (sweep,
   strash, refactor);
-* :class:`MapPass` — ``BooleanNetwork -> LUTCircuit`` (the technology
-  mappers: chortle, depthbounded, mis, flowmap, binpack);
+* :class:`MapPass` — ``BooleanNetwork -> LUTCircuit``: one row of
+  :data:`MAP_PASSES` per technology mapper (chortle, cutmap,
+  cutmap_delay, mis, flowmap, binpack, depthbounded);
 * :class:`CircuitPass` — ``LUTCircuit -> LUTCircuit`` (LUT merging).
 
-Passes are stateless and parameterless by design: everything run-specific
-(K, slack, split threshold) is read from the
-:class:`~repro.flow.engine.FlowContext` at execution time, so one pass
-instance can be shared by every flow that mentions it.  Instrumentation
-(spans, delta counters, checked-mode verification) is applied uniformly
-by the engine, never inside a pass.
+:data:`MAP_PASSES` is the one place a mapper is built.  Each row names
+a mapper, builds it, and says what it can do: the K range it supports,
+whether it records decision provenance, whether it honours the memo
+cache.  Flows, the ``mappers`` listing and
+:func:`~repro.flow.mappers.resolve_mapper` all read these rows.
+
+Passes hold no run state: a map pass reads K and the options ``cache``,
+``jobs`` and ``slack`` from the :class:`~repro.flow.engine.FlowContext`
+at execution time, so one pass instance serves every flow that mentions
+it.  Instrumentation (spans, delta counters, checked-mode verification)
+is applied uniformly by the engine, never inside a pass.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Dict, Optional, Tuple
+
 from repro.baseline.mis_mapper import MisMapper
 from repro.core.chortle import ChortleMapper
+from repro.core.cut_mapper import CutMapper
+from repro.core.cuts import MAX_CUT_SIZE, MIN_CUT_SIZE
 from repro.core.lut import LUTCircuit
 from repro.extensions.binpack import BinPackMapper
 from repro.extensions.flowmap import FlowMapper
@@ -67,13 +77,55 @@ class NetworkPass(Pass):
 
 
 class MapPass(Pass):
-    """Technology mapping: turns a network into a circuit of K-input LUTs."""
+    """Technology mapping: one mapper of the table, as a flow stage.
+
+    ``build(k, cache=None, jobs=1, slack=0, recorder=None)`` returns a
+    ready mapper; each row's ``build`` ignores the options its mapper
+    lacks.  ``k_range`` is the supported LUT-width range (``None``
+    meaning unbounded above), ``records`` marks mappers that accept a
+    :class:`~repro.obs.explain.DecisionRecorder`, and ``cache_aware``
+    marks mappers that honour the structural memo cache.
+    """
 
     input_domain = NETWORK
     output_domain = CIRCUIT
 
+    def __init__(
+        self,
+        name: str,
+        build: Callable[..., object],
+        description: str,
+        k_range: Tuple[int, Optional[int]] = (2, None),
+        records: bool = False,
+        cache_aware: bool = False,
+    ):
+        self.name = name
+        self.build = build
+        self.description = description
+        self.k_range = k_range
+        self.records = records
+        self.cache_aware = cache_aware
+
+    def mapper(self, k: int, explain: bool = False, **options):
+        """The row's mapper at width ``k``, recording decisions if asked."""
+        recorder = None
+        if explain and self.records:
+            from repro.obs.explain import DecisionRecorder
+
+            recorder = DecisionRecorder()
+        return self.build(k, recorder=recorder, **options)
+
     def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        raise NotImplementedError
+        mapper = self.mapper(
+            ctx.k,
+            ctx.explain,
+            cache=ctx.option("cache"),
+            jobs=ctx.option("jobs", 1),
+            slack=ctx.option("slack", 0),
+        )
+        circuit = mapper.map(value)
+        ctx.explanation = getattr(mapper, "explanation", None)
+        return circuit
 
 
 class CircuitPass(Pass):
@@ -113,121 +165,68 @@ class RefactorPass(NetworkPass):
     name = "refactor"
 
     def run(self, value: BooleanNetwork, ctx) -> BooleanNetwork:
-        return refactor_network(
-            value,
-            max_leaves=ctx.option("refactor_max_leaves", 10),
-            min_nodes=ctx.option("refactor_min_nodes", 2),
-        )
+        return refactor_network(value)
 
 
-# -- map passes --------------------------------------------------------------
+# -- the mapper table --------------------------------------------------------
 
 
-class ChortlePass(MapPass):
-    """The paper's tree-DP mapper (area-optimal per fanout-free tree).
-
-    Honours the performance-layer context options: ``cache`` (a
-    :class:`~repro.perf.memo.NodeTableCache`, or ``True`` for the shared
-    one) and ``jobs`` — see :mod:`repro.perf`.
-    """
-
-    name = "chortle"
-
-    def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        recorder = None
-        if getattr(ctx, "explain", False):
-            from repro.obs.explain import DecisionRecorder
-
-            recorder = DecisionRecorder()
-        mapper = ChortleMapper(
-            k=ctx.k,
-            split_threshold=ctx.option("split_threshold", 10),
-            cache=ctx.option("cache"),
-            jobs=ctx.option("jobs", 1),
-            recorder=recorder,
-        )
-        circuit = mapper.map(value)
-        if recorder is not None:
-            ctx.explanation = mapper.explanation
-        return circuit
+def _cut_mapper(mode: str) -> Callable[..., CutMapper]:
+    """The ``build`` of a cut-mapper row: one objective, ``area`` or ``depth``."""
+    return lambda k, cache=None, recorder=None, **_: CutMapper(
+        k=k, mode=mode, cache=cache, recorder=recorder
+    )
 
 
-class CutMapPass(MapPass):
-    """Priority-cut DAG covering (:class:`~repro.core.cut_mapper.CutMapper`).
-
-    One shared class serves both objectives: ``CutMapPass()`` registers
-    as ``cutmap`` (area-flow covering), ``CutMapPass(mode="depth")`` as
-    ``cutmap_delay`` (depth-first covering).  Honours the context
-    options ``priority_size``, ``rounds``, and ``cache``, and records
-    decision provenance when the context asks for it.
-    """
-
-    def __init__(self, mode: str = "area"):
-        self.mode = mode
-        self.name = "cutmap" if mode == "area" else "cutmap_delay"
-
-    def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        from repro.core.cut_mapper import CutMapper
-        from repro.core.cuts import DEFAULT_PRIORITY_SIZE
-
-        recorder = None
-        if getattr(ctx, "explain", False):
-            from repro.obs.explain import DecisionRecorder
-
-            recorder = DecisionRecorder()
-        mapper = CutMapper(
-            k=ctx.k,
-            priority_size=ctx.option("priority_size", DEFAULT_PRIORITY_SIZE),
-            mode=self.mode,
-            rounds=ctx.option("rounds", 2),
-            cache=ctx.option("cache"),
-            recorder=recorder,
-        )
-        circuit = mapper.map(value)
-        if recorder is not None:
-            ctx.explanation = mapper.explanation
-        return circuit
-
-
-class DepthBoundedPass(MapPass):
-    """Minimum-area mapping under a depth bound (``slack`` from the context)."""
-
-    name = "depthbounded"
-
-    def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        mapper = DepthBoundedMapper(
-            k=ctx.k,
-            slack=ctx.option("slack", 0),
-            split_threshold=ctx.option("split_threshold", 10),
-        )
-        return mapper.map(value)
-
-
-class MisPass(MapPass):
-    """The MIS II / DAGON-style library-based baseline mapper."""
-
-    name = "mis"
-
-    def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        return MisMapper(k=ctx.k).map(value)
-
-
-class FlowMapPass(MapPass):
-    """FlowMap: depth-optimal mapping via min-height K-feasible cuts."""
-
-    name = "flowmap"
-
-    def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        return FlowMapper(k=ctx.k).map(value)
-
-
-class BinPackPass(MapPass):
-    """Fast first-fit-decreasing bin-packing mapper."""
-
-    name = "binpack"
-
-    def run(self, value: BooleanNetwork, ctx) -> LUTCircuit:
-        return BinPackMapper(k=ctx.k).map(value)
+#: Every technology mapper, in listing order.
+MAP_PASSES: Tuple[MapPass, ...] = (
+    MapPass(
+        "chortle",
+        lambda k, cache=None, jobs=1, recorder=None, **_: ChortleMapper(
+            k=k, cache=cache, jobs=jobs, recorder=recorder
+        ),
+        "tree-DP area mapper (the paper's algorithm)",
+        records=True,
+        cache_aware=True,
+    ),
+    MapPass(
+        "cutmap",
+        _cut_mapper("area"),
+        "priority-cut DAG covering (area flow + exact-area recovery)",
+        (MIN_CUT_SIZE, MAX_CUT_SIZE),
+        records=True,
+        cache_aware=True,
+    ),
+    MapPass(
+        "cutmap_delay",
+        _cut_mapper("depth"),
+        "priority-cut DAG covering, depth first",
+        (MIN_CUT_SIZE, MAX_CUT_SIZE),
+        records=True,
+        cache_aware=True,
+    ),
+    MapPass(
+        "mis",
+        lambda k, **_: MisMapper(k=k),
+        "MIS II library-matching baseline (kernel libraries stop at K=5)",
+        (2, 5),
+    ),
+    MapPass(
+        "flowmap",
+        lambda k, **_: FlowMapper(k=k),
+        "depth-optimal max-flow min-cut mapping",
+    ),
+    MapPass(
+        "binpack",
+        lambda k, **_: BinPackMapper(k=k),
+        "fast first-fit-decreasing bin packing",
+    ),
+    MapPass(
+        "depthbounded",
+        lambda k, slack=0, **_: DepthBoundedMapper(k=k, slack=slack),
+        "minimum area under a depth bound",
+    ),
+)
 
 
 # -- circuit passes ----------------------------------------------------------
@@ -260,20 +259,15 @@ class MergePass(CircuitPass):
         return merged
 
 
-def builtin_passes():
-    """One shared instance of every built-in pass, keyed by name."""
-    passes = [
+#: One shared instance of every built-in pass, keyed by spec name.
+PASSES: Dict[str, Pass] = {
+    p.name: p
+    for p in (
         SweepPass(),
         StrashPass(),
         RefactorPass(),
-        ChortlePass(),
-        CutMapPass(),
-        CutMapPass(mode="depth"),
-        DepthBoundedPass(),
-        MisPass(),
-        FlowMapPass(),
-        BinPackPass(),
+        *MAP_PASSES,
         MergePass(),
         MergePass(guard_depth=True),
-    ]
-    return {p.name: p for p in passes}
+    )
+}

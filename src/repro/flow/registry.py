@@ -1,6 +1,7 @@
 """Flow registry: named flows, plus parse-from-string custom flows.
 
-The default registry ships four composed flows:
+:data:`BUILTIN_FLOWS` lists the four composed flows the default registry
+ships, each as ``(name, spec, description)``:
 
 * ``area``  — sweep, strash, refactor, strash, chortle, merge — the best
   tree-DP area this package knows how to get (what
@@ -18,24 +19,47 @@ Any other chain can be built from a comma-separated spec::
 
 Specs are type-checked by the :class:`~repro.flow.engine.Flow`
 constructor, so an ill-typed chain ("merge,sweep") is rejected with a
-message naming the offending stages.
+message naming the offending stages.  A lone map-pass name ("chortle")
+is a valid spec: the one-stage flow around that mapper.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import FlowError
 from repro.flow.engine import Flow
-from repro.flow.passes import Pass, builtin_passes
+from repro.flow.passes import PASSES, Pass
 
-#: Shared instances of the built-in passes, keyed by spec name.
-PASSES: Dict[str, Pass] = builtin_passes()
+#: The registered flows, as (name, spec, description).
+BUILTIN_FLOWS = (
+    (
+        "area",
+        "sweep,strash,refactor,strash,chortle,merge",
+        "minimum area: tree-DP mapping with LUT merging",
+    ),
+    (
+        "delay",
+        "sweep,strash,refactor,strash,depthbounded,merge_guarded",
+        "minimum depth at a chosen slack, area recovered",
+    ),
+    (
+        "area_cut",
+        "sweep,strash,refactor,strash,cutmap,merge",
+        "minimum area: priority-cut DAG covering with LUT merging",
+    ),
+    (
+        "delay_cut",
+        "sweep,strash,refactor,strash,cutmap_delay,merge_guarded",
+        "minimum depth: depth-first cut covering, merge guarded",
+    ),
+)
 
-FRONT_END = ("sweep", "strash", "refactor", "strash")
 
-
-def _passes(names: Sequence[str]) -> List[Pass]:
+def _passes(spec: str) -> List[Pass]:
+    names = [part.strip() for part in spec.split(",") if part.strip()]
+    if not names:
+        raise FlowError("empty flow spec %r" % spec)
     out = []
     for name in names:
         try:
@@ -46,58 +70,6 @@ def _passes(names: Sequence[str]) -> List[Pass]:
                 % (name, ", ".join(sorted(PASSES)))
             ) from None
     return out
-
-
-def area_flow(refactor: bool = True, merge: bool = True) -> Flow:
-    """The area flow, optionally without its refactor / merge stages."""
-    names = list(FRONT_END if refactor else ("sweep", "strash"))
-    names.append("chortle")
-    if merge:
-        names.append("merge")
-    return Flow(
-        "area",
-        _passes(names),
-        description="minimum area: tree-DP mapping with LUT merging",
-    )
-
-
-def delay_flow(refactor: bool = True, merge: bool = True) -> Flow:
-    """The delay flow, optionally without its refactor / merge stages."""
-    names = list(FRONT_END if refactor else ("sweep", "strash"))
-    names.append("depthbounded")
-    if merge:
-        names.append("merge_guarded")
-    return Flow(
-        "delay",
-        _passes(names),
-        description="minimum depth at a chosen slack, area recovered",
-    )
-
-
-def area_cut_flow(refactor: bool = True, merge: bool = True) -> Flow:
-    """The DAG-covering area flow (priority cuts instead of tree DP)."""
-    names = list(FRONT_END if refactor else ("sweep", "strash"))
-    names.append("cutmap")
-    if merge:
-        names.append("merge")
-    return Flow(
-        "area_cut",
-        _passes(names),
-        description="minimum area: priority-cut DAG covering with LUT merging",
-    )
-
-
-def delay_cut_flow(refactor: bool = True, merge: bool = True) -> Flow:
-    """The DAG-covering delay flow (depth-ranked cuts, guarded merge)."""
-    names = list(FRONT_END if refactor else ("sweep", "strash"))
-    names.append("cutmap_delay")
-    if merge:
-        names.append("merge_guarded")
-    return Flow(
-        "delay_cut",
-        _passes(names),
-        description="minimum depth: depth-first cut covering, merge guarded",
-    )
 
 
 class FlowRegistry:
@@ -132,10 +104,8 @@ class FlowRegistry:
 
     def parse(self, spec: str) -> Flow:
         """Build an ad-hoc flow from a comma-separated pass spec."""
-        names = [part.strip() for part in spec.split(",") if part.strip()]
-        if not names:
-            raise FlowError("empty flow spec %r" % spec)
-        return Flow(",".join(names), _passes(names))
+        passes = _passes(spec)
+        return Flow(",".join(p.name for p in passes), passes)
 
     def resolve(self, spec: str) -> Flow:
         """A registered flow by name, or a custom flow parsed from a spec."""
@@ -152,8 +122,6 @@ def get_registry() -> FlowRegistry:
     global _REGISTRY
     if _REGISTRY is None:
         _REGISTRY = FlowRegistry()
-        _REGISTRY.register(area_flow())
-        _REGISTRY.register(delay_flow())
-        _REGISTRY.register(area_cut_flow())
-        _REGISTRY.register(delay_cut_flow())
+        for name, spec, description in BUILTIN_FLOWS:
+            _REGISTRY.register(Flow(name, _passes(spec), description))
     return _REGISTRY

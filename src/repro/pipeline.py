@@ -1,14 +1,13 @@
-"""Best-effort mapping pipelines: compatibility shims over the flow engine.
+"""Best-effort mapping pipelines: one-call entry points to the built-in flows.
 
-:func:`map_area` and :func:`map_delay` are the historical one-call entry
-points for the composed flows.  Since the flow engine
-(:mod:`repro.flow`) became the single place pass chains are composed and
-instrumented, they are thin shims: each builds the corresponding
-registered flow (``area`` / ``delay``, minus the stages its flags turn
-off) and runs it.  New code should resolve flows from
-:func:`repro.flow.get_registry` directly; these wrappers exist so that
-``from repro import map_area`` keeps working and keeps producing the
-same circuits LUT-for-LUT.
+:func:`map_area` and :func:`map_delay` run the registered ``area`` and
+``delay`` flows (:data:`repro.flow.registry.BUILTIN_FLOWS`) with the
+options a map pass reads (``cache``, ``jobs`` and, for the delay flow,
+``slack``) and, with ``lint=True``, gate the result on error-severity
+findings.  They exist so that ``from repro import map_area`` keeps
+working; to run any other chain, resolve it from
+:func:`repro.flow.get_registry` or through
+:func:`repro.flow.resolve_mapper`.
 
 Every stage preserves functions; the composed flows are verified
 end-to-end — and per-pass, in checked mode — in the tests.
@@ -18,28 +17,18 @@ from __future__ import annotations
 
 from repro.core.lut import LUTCircuit
 from repro.flow.engine import FlowContext
-from repro.flow.registry import area_flow, delay_flow
+from repro.flow.registry import get_registry
 from repro.network.network import BooleanNetwork
 
 
-def _perf_config(cache, jobs: int) -> dict:
-    """Flow-context config entries for the performance layer, if any."""
-    config = {}
-    if cache is not None:
-        config["cache"] = cache
-    if jobs != 1:
-        config["jobs"] = jobs
-    return config
-
-
-def _run(flow, network: BooleanNetwork, ctx: FlowContext) -> LUTCircuit:
-    result = flow.run(network, ctx)
+def _run(name: str, network: BooleanNetwork, ctx: FlowContext) -> LUTCircuit:
+    result = get_registry().get(name).run(network, ctx)
     if ctx.lint:
         from repro.analysis import gate
 
         gate(
             ctx.diagnostics,
-            subject="%s flow on %r" % (flow.name, network.name),
+            subject="%s flow on %r" % (name, network.name),
         )
     return result
 
@@ -47,8 +36,6 @@ def _run(flow, network: BooleanNetwork, ctx: FlowContext) -> LUTCircuit:
 def map_area(
     network: BooleanNetwork,
     k: int = 4,
-    refactor: bool = True,
-    merge: bool = True,
     checked: bool = False,
     lint: bool = False,
     cache=None,
@@ -62,19 +49,16 @@ def map_area(
     any error-severity finding raises :class:`~repro.errors.LintError`,
     naming the emitting stage.
     """
-    flow = area_flow(refactor=refactor, merge=merge)
     ctx = FlowContext(
-        k=k, checked=checked, lint=lint, config=_perf_config(cache, jobs)
+        k=k, checked=checked, lint=lint, config={"cache": cache, "jobs": jobs}
     )
-    return _run(flow, network, ctx)
+    return _run("area", network, ctx)
 
 
 def map_delay(
     network: BooleanNetwork,
     k: int = 4,
     slack: int = 0,
-    refactor: bool = True,
-    merge: bool = True,
     checked: bool = False,
     lint: bool = False,
     cache=None,
@@ -87,8 +71,10 @@ def map_delay(
     silently discarded.  ``lint=True`` gates every stage's output on
     error-severity lint findings, as in :func:`map_area`.
     """
-    flow = delay_flow(refactor=refactor, merge=merge)
-    config = _perf_config(cache, jobs)
-    config["slack"] = slack
-    ctx = FlowContext(k=k, checked=checked, lint=lint, config=config)
-    return _run(flow, network, ctx)
+    ctx = FlowContext(
+        k=k,
+        checked=checked,
+        lint=lint,
+        config={"cache": cache, "jobs": jobs, "slack": slack},
+    )
+    return _run("delay", network, ctx)

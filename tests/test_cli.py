@@ -94,10 +94,34 @@ class TestFlows:
         )
         assert rc == 0
 
-    def test_checked_without_flow_rejected(self, blif_file, capsys):
-        rc = main(["map", str(blif_file), "--mapper", "chortle", "--checked"])
-        assert rc == 2
-        assert "--checked requires a flow" in capsys.readouterr().err
+    def test_checked_raw_mapper_runs_one_stage_flow(self, blif_file, capsys):
+        import json
+
+        rc = main(
+            ["map", str(blif_file), "--mapper", "chortle", "--checked",
+             "--json-report"]
+        )
+        assert rc == 0
+        report = json.loads(capsys.readouterr().err)
+        assert report["mapper"] == "chortle"
+        assert report["counters"]["flow.stages_checked"] == 1
+
+    def test_flow_naming_a_mapper_runs_it_raw(self, blif_file, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        rc = main(
+            ["map", str(blif_file), "--flow", "chortle", "--trace", str(trace),
+             "-o", str(tmp_path / "out.blif")]
+        )
+        assert rc == 0
+        text = trace.read_text()
+        assert '"chortle.map"' in text and '"flow.' not in text
+
+    def test_mappers_lists_every_name(self, capsys):
+        from repro.flow import mapper_names
+
+        assert main(["mappers"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed[1:] == mapper_names()
 
     def test_bad_flow_spec_clean_error(self, blif_file, capsys):
         rc = main(["map", str(blif_file), "--flow", "sweep,bogus"])

@@ -7,13 +7,14 @@ from repro.bench.circuits import parity_tree, ripple_adder
 from repro.core.lut import LUTCircuit
 from repro.errors import FlowError
 from repro.flow import (
-    CORE_MAPPERS,
+    BUILTIN_FLOWS,
+    MAP_PASSES,
     Flow,
     FlowContext,
     FlowMapperAdapter,
     PASSES,
-    area_flow,
     get_registry,
+    mapper_capabilities,
     mapper_names,
     resolve_mapper,
 )
@@ -49,12 +50,12 @@ class TestFlowConstruction:
         assert [p.name for p in again.passes] == [p.name for p in flow.passes]
 
     def test_domains(self):
-        flow = area_flow()
+        flow = get_registry().get("area")
         assert flow.input_domain == "network"
         assert flow.output_domain == "circuit"
-        assert flow.is_mapping_flow
+        assert flow.map_pass is PASSES["chortle"]
         net_only = get_registry().parse("sweep,strash")
-        assert not net_only.is_mapping_flow
+        assert net_only.map_pass is None
 
 
 class TestRegistry:
@@ -78,17 +79,22 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         registry = FlowRegistry()
-        registry.register(area_flow())
+        area = get_registry().get("area")
+        registry.register(area)
         with pytest.raises(FlowError):
-            registry.register(area_flow())
-        registry.register(area_flow(), replace=True)
+            registry.register(area)
+        registry.register(area, replace=True)
 
     def test_resolve_prefers_registered_name(self):
-        assert get_registry().resolve("area").spec == area_flow().spec
+        for name, spec, description in BUILTIN_FLOWS:
+            flow = get_registry().resolve(name)
+            assert (flow.name, flow.spec, flow.description) == (
+                name, spec, description,
+            )
 
 
 class TestFlowExecution:
-    @pytest.mark.parametrize("name", ["area", "delay"])
+    @pytest.mark.parametrize("name", get_registry().names())
     def test_registered_flows_verified_on_bench_circuits(self, name):
         flow = get_registry().get(name)
         for net in bench_networks():
@@ -156,18 +162,9 @@ class TestFlowExecution:
         out = get_registry().parse("sweep,strash").run(net, FlowContext())
         assert isinstance(out, BooleanNetwork)
 
-    def test_context_sinks_attached_for_run(self):
-        from repro.obs import MemorySink, get_tracer
-
-        net = make_random_network(5, num_gates=8)
-        sink = MemorySink()
-        get_registry().get("area").run(net, FlowContext(k=4, sinks=(sink,)))
-        assert not get_tracer().enabled
-        assert sink.by_name("flow.run")
-
 
 class TestCheckedMode:
-    @pytest.mark.parametrize("name", ["area", "delay"])
+    @pytest.mark.parametrize("name", get_registry().names())
     def test_checked_flows_pass_and_count(self, name):
         net = make_random_network(6, num_gates=12)
         before = metrics.counters()
@@ -211,8 +208,8 @@ class TestCheckedMode:
 class TestMapperProtocol:
     def test_mapper_names_cover_core_and_flows(self):
         names = mapper_names()
-        assert set(CORE_MAPPERS) <= set(names)
-        assert {"area", "delay"} <= set(names)
+        assert {row.name for row in MAP_PASSES} <= set(names)
+        assert set(get_registry().names()) <= set(names)
 
     def test_resolve_raw_mapper(self):
         mapper = resolve_mapper("chortle", k=4)
@@ -226,17 +223,45 @@ class TestMapperProtocol:
             mapper = resolve_mapper(spec, k=4, checked=True)
             verify_equivalence(net, mapper.map(net))
 
-    def test_checked_raw_mapper_rejected(self):
-        with pytest.raises(FlowError):
-            resolve_mapper("chortle", k=4, checked=True)
+    def test_checked_raw_mapper_checks_its_stage(self):
+        """A map-pass name in checked mode runs as its one-stage flow."""
+        mapper = resolve_mapper("chortle", k=4, checked=True)
+        assert mapper.flow.spec == "chortle"
+        net = make_random_network(9, num_gates=10)
+        before = metrics.counters()
+        verify_equivalence(net, mapper.map(net))
+        assert metrics.counter_delta(before)["flow.stages_checked"] == 1
 
     def test_adapter_rejects_network_only_flow(self):
         with pytest.raises(FlowError):
             FlowMapperAdapter(get_registry().parse("sweep,strash"), k=4)
 
     def test_all_mappers_have_names(self):
-        for name, factory in CORE_MAPPERS.items():
-            assert factory(4).name == name
+        for row in MAP_PASSES:
+            assert row.build(4).name == row.name
+
+    def test_capability_rows(self):
+        """Kind, records, cache and K range of every resolvable name."""
+        unbounded, cut = (2, None), (2, 6)
+        rows = {
+            row.name: (row.kind, row.records_provenance, row.cache_aware,
+                       row.k_range)
+            for row in mapper_capabilities()
+        }
+        assert rows == {
+            "chortle": ("core", True, True, unbounded),
+            "cutmap": ("core", True, True, cut),
+            "cutmap_delay": ("core", True, True, cut),
+            "mis": ("core", False, False, (2, 5)),
+            "flowmap": ("core", False, False, unbounded),
+            "binpack": ("core", False, False, unbounded),
+            "depthbounded": ("core", False, False, unbounded),
+            "area": ("flow", True, True, unbounded),
+            "delay": ("flow", False, False, unbounded),
+            "area_cut": ("flow", True, True, cut),
+            "delay_cut": ("flow", True, True, cut),
+        }
+        assert sorted(rows) == mapper_names()
 
 
 class TestMergeGuard:

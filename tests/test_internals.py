@@ -133,7 +133,7 @@ class TestClbInternals:
 
 class TestEmissionInternals:
     def test_emit_candidate_counts(self):
-        from repro.core.chortle import _emit_candidate
+        from repro.core.substrate import emit_candidate
         from repro.core.forest import build_forest
         from repro.core.tree_mapper import TreeMapper
 
@@ -145,7 +145,7 @@ class TestEmissionInternals:
         total = 0
         for tree in forest.trees:
             cand = TreeMapper(4).map_tree(net, tree)
-            emitted = _emit_candidate(cand, circuit, tree.root)
+            emitted = emit_candidate(cand, circuit, tree.root)
             assert emitted == cand.cost
             total += emitted
         assert circuit.num_luts == total

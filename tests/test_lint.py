@@ -43,7 +43,7 @@ from repro.cli import main
 from repro.core.lut import LUTCircuit, LUTProvenance
 from repro.errors import LintError
 from repro.flow.engine import Flow, FlowContext
-from repro.flow.passes import CircuitPass, builtin_passes
+from repro.flow.passes import PASSES, CircuitPass
 from repro.network.network import BooleanNetwork, Node, Signal
 from repro.pipeline import map_area
 from repro.report import build_report
@@ -449,8 +449,7 @@ class BreakCircuitPass(CircuitPass):
 
 
 def test_flow_lint_attributes_injected_violation_to_stage():
-    passes = builtin_passes()
-    flow = Flow("bad", [passes["sweep"], passes["chortle"],
+    flow = Flow("bad", [PASSES["sweep"], PASSES["chortle"],
                         BreakCircuitPass()])
     ctx = FlowContext(k=4, lint=True)
     net = mcnc_circuit("frg1")
@@ -468,8 +467,7 @@ def test_flow_lint_attributes_injected_violation_to_stage():
 
 
 def test_flow_lint_off_by_default():
-    passes = builtin_passes()
-    flow = Flow("ok", [passes["sweep"], passes["chortle"]])
+    flow = Flow("ok", [PASSES["sweep"], PASSES["chortle"]])
     ctx = FlowContext(k=4)
     flow.run(mcnc_circuit("frg1"), ctx)
     assert ctx.diagnostics == []
@@ -480,12 +478,13 @@ def test_pipeline_lint_gates_on_errors():
     net = mcnc_circuit("frg1")
     circuit = map_area(net, k=4, lint=True)
     assert circuit.cost > 0
-    # ...and resolve_mapper refuses lint for a raw (non-flow) mapper.
-    from repro.errors import FlowError
+    # ...and a raw mapper name lints as its one-stage flow.
     from repro.flow.mappers import resolve_mapper
 
-    with pytest.raises(FlowError, match="lint"):
-        resolve_mapper("flowmap", 4, lint=True)
+    mapper = resolve_mapper("flowmap", 4, lint=True)
+    mapper.map(net)
+    assert mapper.diagnostics
+    assert {d.stage for d in mapper.diagnostics} == {"flow.stage.0.flowmap"}
 
 
 def test_flow_mapper_adapter_collects_diagnostics():
@@ -671,8 +670,10 @@ def test_cli_map_lint_flag(tmp_path, capsys):
                  "-k", "4", "-o", str(tmp_path / "out.blif")])
     assert code == 0
     assert "lint" in capsys.readouterr().err
-    # Raw mappers cannot stage-lint.
-    assert main(["map", path, "--mapper", "flowmap", "--lint"]) == 2
+    # A raw mapper stage-lints as its one-stage flow.
+    assert main(["map", path, "--mapper", "flowmap", "--lint",
+                 "-o", str(tmp_path / "out.blif")]) == 0
+    assert "flow.stage.0.flowmap" in capsys.readouterr().err
 
 
 # -- fuzz: benchmark mappings lint clean at error level ----------------------

@@ -4,6 +4,7 @@ import pytest
 
 from tests.util import make_random_network
 from repro.core.chortle import ChortleMapper
+from repro.flow import resolve_mapper
 from repro.pipeline import map_area, map_delay
 from repro.verify import verify_equivalence
 
@@ -45,8 +46,9 @@ class TestMapArea:
         assert composed <= plain
 
     def test_flags(self):
+        """The refactor and merge stages never cost LUTs on this net."""
         net = make_random_network(2, num_gates=12)
-        raw = map_area(net, k=4, refactor=False, merge=False)
+        raw = resolve_mapper("sweep,strash,chortle", 4).map(net)
         full = map_area(net, k=4)
         verify_equivalence(net, raw)
         assert full.cost <= raw.cost

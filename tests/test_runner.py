@@ -7,14 +7,10 @@ import json
 import pytest
 
 from tests.util import make_random_network
-from repro.bench.runner import (
-    _CSV_FIELDS,
-    MAPPER_FACTORIES,
-    SuiteResult,
-    mapper_factory,
-    run_suite,
-)
-from repro.errors import BenchError
+from repro.analysis.suite import lint_suite
+from repro.bench.runner import _CSV_FIELDS, SuiteResult, run_suite
+from repro.errors import BenchError, FlowError
+from repro.flow import get_registry, mapper_names
 from repro.report import MappingReport
 
 
@@ -40,11 +36,11 @@ class TestRunSuite:
     def test_all_mappers_registered(self):
         result = run_suite(
             [make_random_network(1, num_gates=8)],
-            mappers=tuple(MAPPER_FACTORIES),
+            mappers=tuple(mapper_names()),
             ks=(3,),
             verify=True,
         )
-        assert {r.mapper for r in result.reports} == set(MAPPER_FACTORIES)
+        assert {r.mapper for r in result.reports} == set(mapper_names())
 
     def test_unknown_mapper_clean_error(self):
         with pytest.raises(BenchError) as excinfo:
@@ -55,17 +51,13 @@ class TestRunSuite:
             )
         message = str(excinfo.value)
         assert "unknown mapper 'bogus'" in message
-        for name in sorted(MAPPER_FACTORIES):
+        for name in mapper_names():
             assert name in message
 
-    def test_mapper_factory_valid_name(self):
-        factory = mapper_factory("chortle")
-        assert factory is MAPPER_FACTORIES["chortle"]
-
     def test_registered_flows_sweepable(self):
-        assert {"area", "delay"} <= set(MAPPER_FACTORIES)
+        assert set(get_registry().names()) <= set(mapper_names())
 
-    def test_mapper_factory_accepts_flow_spec(self):
+    def test_flow_spec_accepted(self):
         """A comma-separated pass spec is a valid suite mapper name."""
         result = run_suite(
             [make_random_network(2, num_gates=8)],
@@ -75,9 +67,25 @@ class TestRunSuite:
         )
         assert result.reports[0].mapper == "sweep,strash,chortle"
 
-    def test_mapper_factory_rejects_network_only_spec(self):
+    def test_network_only_spec_rejected(self):
         with pytest.raises(BenchError):
-            mapper_factory("sweep,strash")
+            run_suite(["frg1"], mappers=("sweep,strash",), ks=(4,))
+
+    @pytest.mark.parametrize(
+        "mapper,k", [("cutmap_delay", 7), ("sweep,strash,mis", 6)]
+    )
+    def test_sweep_skips_cells_beyond_the_map_pass_range(self, mapper, k):
+        """A flow spec's K range is its map pass's, as for raw names."""
+        assert run_suite(["9symml"], mappers=(mapper,), ks=(k,)).reports == []
+        assert lint_suite(["9symml"], mappers=(mapper,), ks=(k,)) == []
+
+    def test_lint_suite_unknown_mapper_fails_before_mapping(self):
+        from repro.obs import metrics
+
+        before = metrics.counters()
+        with pytest.raises(FlowError, match="bogus"):
+            lint_suite(["9symml"], mappers=("chortle", "bogus"), ks=(4,))
+        assert "chortle.trees_mapped" not in metrics.counter_delta(before)
 
 
 def synthetic_report(circuit="c0", k=4, mapper="chortle", luts=10):
