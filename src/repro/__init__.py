@@ -43,7 +43,6 @@ from repro.core import (
     ChortleMapper,
     LUTCircuit,
     build_forest,
-    map_network,
 )
 from repro.blif import (
     blif_to_network,
@@ -84,7 +83,6 @@ __all__ = [
     "LUT",
     "LUTCircuit",
     "ChortleMapper",
-    "map_network",
     "build_forest",
     "parse_blif",
     "parse_blif_file",

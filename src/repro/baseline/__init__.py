@@ -17,7 +17,7 @@ Conventional library-based mapping as the paper compares against:
 
 from repro.baseline.library import Library, complete_library, kernel_library
 from repro.baseline.subject import decompose_to_binary
-from repro.baseline.mis_mapper import MisMapper, mis_map_network
+from repro.baseline.mis_mapper import MisMapper
 
 __all__ = [
     "Library",
@@ -25,5 +25,4 @@ __all__ = [
     "kernel_library",
     "decompose_to_binary",
     "MisMapper",
-    "mis_map_network",
 ]

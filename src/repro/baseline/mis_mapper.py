@@ -23,11 +23,14 @@ from repro.errors import MappingError
 from repro.baseline.library import Library, library_for
 from repro.baseline.subject import decompose_to_binary
 from repro.core.substrate import wire_outputs
-from repro.core.forest import Tree, build_forest, check_forest
+from repro.core.forest import Tree, build_forest
 from repro.core.lut import LUTCircuit
 from repro.network.network import AND, BooleanNetwork
 from repro.network.transform import sweep
 from repro.truth.truthtable import TruthTable
+
+# Cut enumeration at one subject node stops after this many cuts.
+_MAX_CUTS = 2000
 
 
 def _remap_bits(bits: int, positions: List[int], n: int) -> int:
@@ -60,13 +63,7 @@ class MisMapper:
 
     name = "mis"  # spec name under the common Mapper protocol
 
-    def __init__(
-        self,
-        k: int = 4,
-        library: Optional[Library] = None,
-        preprocess: bool = True,
-        max_cuts: int = 2000,
-    ):
+    def __init__(self, k: int = 4, library: Optional[Library] = None):
         if k < 2:
             raise MappingError("K must be at least 2, got %d" % k)
         self.k = k
@@ -76,18 +73,13 @@ class MisMapper:
                 "library %r targets K=%d but mapper K=%d"
                 % (self.library.name, self.library.k, k)
             )
-        self.preprocess = preprocess
-        self.max_cuts = max_cuts
 
     # -- public API ------------------------------------------------------------
 
     def map(self, network: BooleanNetwork) -> LUTCircuit:
-        net = sweep(network) if self.preprocess else network
-        net = decompose_to_binary(net)
+        net = decompose_to_binary(sweep(network))
         net.validate()
-
         forest = build_forest(net)
-        check_forest(forest)
 
         circuit = LUTCircuit("%s_mis_k%d" % (network.name, self.k))
         for name in net.inputs:
@@ -101,12 +93,11 @@ class MisMapper:
     # -- tree covering ------------------------------------------------------------
 
     def _map_tree(self, net: BooleanNetwork, tree: Tree, circuit: LUTCircuit) -> None:
-        order = [n for n in net.topological_order() if n in tree.internal]
         cuts: Dict[str, List[Cut]] = {}
         best_cost: Dict[str, int] = {}
         best_cut: Dict[str, Cut] = {}
 
-        for name in order:
+        for name in tree.order:
             node = net.node(name)
             node_cuts = self._enumerate_cuts(node, tree, cuts)
             cuts[name] = node_cuts
@@ -192,7 +183,7 @@ class MisMapper:
                 continue
             seen.add(key)
             result.append(Cut(tuple(leaves), tt, internal))
-            if len(result) >= self.max_cuts:
+            if len(result) >= _MAX_CUTS:
                 break
         return result
 
@@ -219,10 +210,3 @@ class MisMapper:
             for leaf in reversed(cut.leaves):
                 if leaf in tree.internal and leaf not in circuit:
                     stack.append((leaf, False))
-
-
-def mis_map_network(
-    network: BooleanNetwork, k: int = 4, library: Optional[Library] = None
-) -> LUTCircuit:
-    """Convenience wrapper around :class:`MisMapper`."""
-    return MisMapper(k=k, library=library).map(network)

@@ -14,7 +14,7 @@ and splits nodes whose fanin exceeds a threshold (Section 3.1.4).
 
 from repro.core.lut import LUT, LUTCircuit
 from repro.core.forest import Forest, Tree, build_forest
-from repro.core.chortle import ChortleMapper, map_network
+from repro.core.chortle import ChortleMapper
 from repro.core.cover import check_cover
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "Forest",
     "build_forest",
     "ChortleMapper",
-    "map_network",
     "check_cover",
 ]

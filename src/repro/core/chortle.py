@@ -12,15 +12,15 @@ import os
 from typing import List, Optional
 
 from repro.errors import MappingError
-from repro.core.forest import build_forest, check_forest, tree_orders
+from repro.core.forest import build_forest
 from repro.core.lut import LUTCircuit
-from repro.core.substrate import emit_candidate, wire_outputs
+from repro.core.substrate import emit_trees
 from repro.core.tree_mapper import MapCand, TreeMapper
 from repro.network.network import BooleanNetwork
 from repro.network.transform import sweep
 from repro.obs import metrics, span
 
-__all__ = ["ChortleMapper", "map_network"]
+__all__ = ["ChortleMapper"]
 
 
 class ChortleMapper:
@@ -50,7 +50,6 @@ class ChortleMapper:
         self,
         k: int = 4,
         split_threshold: int = 10,
-        preprocess: bool = True,
         cache=None,
         jobs: int = 1,
         recorder=None,
@@ -62,7 +61,6 @@ class ChortleMapper:
             )
         self.k = k
         self.split_threshold = split_threshold
-        self.preprocess = preprocess
         from repro.perf.memo import resolve_cache
 
         self.cache = resolve_cache(cache)
@@ -80,15 +78,8 @@ class ChortleMapper:
     def map(self, network: BooleanNetwork) -> LUTCircuit:
         """Map the network into a circuit of K-input lookup tables."""
         with span("chortle.map", network=network.name, k=self.k) as sp:
-            net = sweep(network) if self.preprocess else network
+            net = sweep(network)
             net.validate()
-            for node in net.gates():
-                if node.fanin_count < 2:
-                    raise MappingError(
-                        "gate %r has fanin %d; run sweep() or enable preprocess"
-                        % (node.name, node.fanin_count)
-                    )
-
             circuit = self._map_swept(net)
             sp.set("luts", circuit.cost)
             if self.recorder is not None:
@@ -101,47 +92,33 @@ class ChortleMapper:
 
     def _map_swept(self, net: BooleanNetwork) -> LUTCircuit:
         forest = build_forest(net)
-        check_forest(forest)
         metrics.count("chortle.trees_mapped", len(forest.trees))
         if self.recorder is not None:
             # Explanations list trees in forest order, not by root name.
             self.recorder.set_order([tree.root for tree in forest.trees])
 
-        circuit = LUTCircuit("%s_k%d" % (net.name, self.k))
-        for name in net.inputs:
-            circuit.add_input(name)
-
-        cands = self._map_trees(net, forest.trees, tree_orders(forest))
-        for tree, cand in zip(forest.trees, cands):
-            emitted = emit_candidate(cand, circuit, tree.root)
-            if emitted != cand.cost:
-                raise MappingError(
-                    "internal accounting error in tree %r: predicted %d "
-                    "LUTs, emitted %d" % (tree.root, cand.cost, emitted)
-                )
-            metrics.count("chortle.luts_emitted", emitted)
-            metrics.observe("chortle.luts_per_tree", emitted)
-
-        wire_outputs(net, circuit)
-        circuit.validate(self.k)
+        cands = self._map_trees(net, forest.trees)
+        roots = [tree.root for tree in forest.trees]
+        circuit = emit_trees(
+            net, "%s_k%d" % (net.name, self.k), self.k, zip(roots, cands)
+        )
+        # emit_trees checked that every tree emitted its predicted cost.
+        for cand in cands:
+            metrics.count("chortle.luts_emitted", cand.cost)
+            metrics.observe("chortle.luts_per_tree", cand.cost)
         return circuit
 
-    def _map_trees(self, net: BooleanNetwork, trees, orders) -> List[MapCand]:
+    def _map_trees(self, net: BooleanNetwork, trees) -> List[MapCand]:
         """Root candidates for every tree, in forest order.
 
-        ``orders`` carries each tree's internal nodes in topological
-        order, computed once per network (``tree_orders``).  With
-        ``jobs > 1`` the independent tree problems are fanned across the
-        fork-once process pool; results come back in forest order, so
-        the emitted circuit — names, LUT order, functions — is identical
-        to a serial run.
+        With ``jobs > 1`` the independent tree problems are fanned across
+        the fork-once process pool; results come back in forest order,
+        so the emitted circuit — names, LUT order, functions — is
+        identical to a serial run.
         """
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
         if jobs <= 1 or len(trees) < 2:
-            return [
-                map_one_tree(self._tree_mapper, net, tree, order)
-                for tree, order in zip(trees, orders)
-            ]
+            return [map_one_tree(self._tree_mapper, net, tree) for tree in trees]
         from repro.perf.parallel import map_trees_processes
 
         jobs = min(jobs, len(trees))
@@ -157,7 +134,7 @@ class ChortleMapper:
 
 
 def map_one_tree(
-    tree_mapper: TreeMapper, net: BooleanNetwork, tree, order,
+    tree_mapper: TreeMapper, net: BooleanNetwork, tree,
     worker: Optional[int] = None,
 ) -> MapCand:
     """One tree's root candidate, under its ``chortle.map_tree`` span.
@@ -170,13 +147,6 @@ def map_one_tree(
     if worker is not None:
         attrs["worker"] = worker
     with span("chortle.map_tree", **attrs) as tree_sp:
-        cand = tree_mapper.map_tree(net, tree, order=order)
+        cand = tree_mapper.map_tree(net, tree)
         tree_sp.set("luts", cand.cost)
     return cand
-
-
-def map_network(
-    network: BooleanNetwork, k: int = 4, split_threshold: int = 10
-) -> LUTCircuit:
-    """Convenience wrapper around :class:`ChortleMapper`."""
-    return ChortleMapper(k=k, split_threshold=split_threshold).map(network)

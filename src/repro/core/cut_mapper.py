@@ -99,7 +99,6 @@ class CutMapper:
         priority_size: int = DEFAULT_PRIORITY_SIZE,
         mode: str = "area",
         rounds: int = 2,
-        preprocess: bool = True,
         cache: object = None,
         recorder: Optional["DecisionRecorder"] = None,
     ) -> None:
@@ -116,7 +115,6 @@ class CutMapper:
         # Spec name under the common Mapper protocol, one per objective.
         self.name = "cutmap" if mode == "area" else "cutmap_delay"
         self.rounds = rounds
-        self.preprocess = preprocess
         from repro.perf.memo import resolve_cache
 
         self.cache = resolve_cache(cache)
@@ -131,7 +129,7 @@ class CutMapper:
         with span(
             "cutmap.map", network=network.name, k=self.k, mode=self.mode
         ) as sp:
-            net = sweep(network) if self.preprocess else network
+            net = sweep(network)
             net.validate()
             origins: Dict[str, str] = {}
             # Area covering wants the chain shape (a w-input gate costs
@@ -459,13 +457,3 @@ class CutMapper:
             self.recorder.record_tree(
                 TreeDecisions(root=root, luts=luts, depth=depth, nodes=decisions)
             )
-
-
-def cut_map_network(
-    network: BooleanNetwork,
-    k: int = 4,
-    priority_size: int = DEFAULT_PRIORITY_SIZE,
-    mode: str = "area",
-) -> LUTCircuit:
-    """Convenience wrapper around :class:`CutMapper`."""
-    return CutMapper(k=k, priority_size=priority_size, mode=mode).map(network)

@@ -91,9 +91,7 @@ def exhaustive_node_costs(
 def exhaustive_map_tree(network: BooleanNetwork, tree: Tree, k: int) -> int:
     """Minimum LUT count of a tree per the paper's exhaustive procedure."""
     tables: Dict[str, List[Optional[float]]] = {}
-    for name in network.topological_order():
-        if name not in tree.internal:
-            continue
+    for name in tree.order:
         node = network.node(name)
         items: List[RefItem] = []
         for sig in node.fanins:

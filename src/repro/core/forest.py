@@ -23,12 +23,15 @@ class Tree:
 
     ``root`` and ``internal`` are gate nodes of the network; ``leaves``
     are the external node names referenced by the tree's fanin edges
-    (primary inputs or roots of other trees).
+    (primary inputs or roots of other trees).  ``order`` lists
+    ``internal`` in the network's topological order, so it ends with the
+    root; :func:`build_forest` fills it.
     """
 
     root: str
     internal: Set[str] = field(default_factory=set)
     leaves: Set[str] = field(default_factory=set)
+    order: List[str] = field(default_factory=list)
 
     @property
     def num_nodes(self) -> int:
@@ -75,7 +78,12 @@ def tree_roots(network: BooleanNetwork) -> Set[str]:
 
 
 def build_forest(network: BooleanNetwork) -> Forest:
-    """Split the network into maximal fanout-free trees."""
+    """Split the network into maximal fanout-free trees.
+
+    This is the only way into a forest: the result has passed
+    :func:`check_forest`, and every tree carries its :attr:`Tree.order`,
+    so no per-tree pass sorts the network again.
+    """
     roots = tree_roots(network)
     order = network.topological_order()
     forest = Forest(network)
@@ -103,17 +111,21 @@ def build_forest(network: BooleanNetwork) -> Forest:
                         )
                     stack.append(sig.name)
         forest.trees.append(tree)
+    check_forest(forest)
+    for tree, tree_order in zip(forest.trees, tree_orders(forest, order)):
+        tree.order = tree_order
     return forest
 
 
-def tree_orders(forest: Forest) -> List[List[str]]:
-    """Per-tree topological node orders from ONE whole-network sort.
+def tree_orders(forest: Forest, order: List[str]) -> List[List[str]]:
+    """Per-tree topological node orders sliced from one network ``order``.
 
-    ``TreeMapper.map_tree`` needs its tree's internal nodes in
-    topological order; deriving that per tree from
-    ``network.topological_order()`` is O(trees x network) — quadratic on
-    tree-heavy networks.  One sort plus one slicing pass is linear, and
-    each slice preserves the global order, so the DP visits nodes in
+    Every per-tree pass (the tree DP, bin packing, the Pareto DP, library
+    covering, refactoring) walks its tree's internal nodes in topological
+    order; filtering ``network.topological_order()`` per tree would be
+    O(trees x network), quadratic on tree-heavy networks.  One slicing
+    pass over the order :func:`build_forest` already holds is linear,
+    and each slice keeps the global order, so every pass visits nodes in
     exactly the same sequence either way.
     """
     owner: Dict[str, int] = {}
@@ -121,7 +133,7 @@ def tree_orders(forest: Forest) -> List[List[str]]:
         for name in tree.internal:
             owner[name] = index
     orders: List[List[str]] = [[] for _ in forest.trees]
-    for name in forest.network.topological_order():
+    for name in order:
         index = owner.get(name)
         if index is not None:
             orders[index].append(name)

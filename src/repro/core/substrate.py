@@ -17,6 +17,9 @@ than the tree path being privileged:
   keys);
 * :func:`emit_candidate` — materialize a tree-DP candidate as LUTs with
   per-table :class:`~repro.core.lut.LUTProvenance`;
+* :func:`emit_trees` — the whole circuit of one candidate per forest
+  tree, the back end of every :class:`~repro.core.tree_mapper.MapCand`
+  mapper (chortle, binpack, depthbounded);
 * :func:`wire_outputs` — output-port plumbing (constants, inverters,
   buffers) shared by every mapper;
 * :func:`circuit_to_network` — re-express a mapped circuit as a plain
@@ -27,7 +30,7 @@ than the tree path being privileged:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.lut import LUTCircuit, LUTProvenance
 from repro.core.expr import Leaf, NotExpr, OpExpr, to_truth_table
@@ -229,6 +232,35 @@ def emit_candidate(cand, circuit: LUTCircuit, wire_name: str) -> int:
             parent.children.append(NotExpr(expr) if frame.inv else expr)
             parent.keys.extend(frame.keys)
     return emitted
+
+
+def emit_trees(
+    net: BooleanNetwork,
+    name: str,
+    k: int,
+    chosen: Iterable[Tuple[str, object]],
+) -> LUTCircuit:
+    """The circuit of one chosen candidate per fanout-free tree of ``net``.
+
+    ``chosen`` yields ``(tree root, MapCand)`` pairs in forest order.
+    Each candidate must emit exactly the ``cost`` it predicts, or the
+    mapper's accounting is wrong and :class:`MappingError` says where.
+    The circuit gets ``net``'s inputs and output ports and is validated
+    for width ``k``.
+    """
+    circuit = LUTCircuit(name)
+    for pi in net.inputs:
+        circuit.add_input(pi)
+    for root, cand in chosen:
+        emitted = emit_candidate(cand, circuit, root)
+        if emitted != cand.cost:
+            raise MappingError(
+                "internal accounting error in tree %r: predicted %d "
+                "LUTs, emitted %d" % (root, cand.cost, emitted)
+            )
+    wire_outputs(net, circuit)
+    circuit.validate(k)
+    return circuit
 
 
 # -- output-port plumbing ----------------------------------------------------

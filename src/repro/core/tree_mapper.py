@@ -188,35 +188,18 @@ class TreeMapper:
 
     # -- public API ---------------------------------------------------------
 
-    def map_tree(
-        self,
-        network: BooleanNetwork,
-        tree: Tree,
-        order: Optional[Sequence[str]] = None,
-    ) -> MapCand:
+    def map_tree(self, network: BooleanNetwork, tree: Tree) -> MapCand:
         """Optimal mapping of one fanout-free tree; returns the root candidate.
 
-        ``order`` is an optional precomputed topological order of the
-        tree's internal nodes.  Without it, each call derives the order
-        from the whole network — callers mapping many trees of one
-        network (:class:`~repro.core.chortle.ChortleMapper`) compute one
-        network order and slice it per tree instead of paying a full
-        traversal per tree.
+        The DP visits the tree's nodes in :attr:`~repro.core.forest.Tree.order`.
         """
         tables: Dict[str, NodeTable] = {}
         sigs: Dict[str, Optional[object]] = {}
         recording = self.recorder is not None
-        if order is None:
-            internal = tree.internal
-            order = [
-                name
-                for name in network.topological_order()
-                if name in internal
-            ]
         # (name, op, fanins, split, candidates) per node, in topological
         # order — the raw material for the per-node decision records.
         node_info: List[Tuple[str, str, int, bool, int]] = []
-        for name in order:
+        for name in tree.order:
             node = network.node(name)
             items: List[FaninItem] = []
             for sig in node.fanins:

@@ -14,22 +14,16 @@
   and depth-bounded area mapping (the Chortle-d direction).
 """
 
-from repro.extensions.flowmap import FlowMapper, flowmap_network
-from repro.extensions.binpack import BinPackMapper, binpack_map_network
+from repro.extensions.flowmap import FlowMapper
+from repro.extensions.binpack import BinPackMapper
 from repro.extensions.replicate import replicate_fanout_nodes, replicate_until_tree
 from repro.extensions.clb import Clb, ClbPacker, ClbPacking, pack_clbs
 from repro.extensions.lutmerge import merge_luts
-from repro.extensions.pareto import (
-    DepthBoundedMapper,
-    ParetoTreeMapper,
-    depth_bounded_map,
-)
+from repro.extensions.pareto import DepthBoundedMapper, ParetoTreeMapper
 
 __all__ = [
     "FlowMapper",
-    "flowmap_network",
     "BinPackMapper",
-    "binpack_map_network",
     "replicate_fanout_nodes",
     "replicate_until_tree",
     "Clb",
@@ -38,6 +32,5 @@ __all__ = [
     "pack_clbs",
     "ParetoTreeMapper",
     "DepthBoundedMapper",
-    "depth_bounded_map",
     "merge_luts",
 ]

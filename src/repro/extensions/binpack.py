@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.errors import MappingError
-from repro.core.substrate import emit_candidate as _emit_candidate, wire_outputs
-from repro.core.forest import build_forest, check_forest
+from repro.core.substrate import emit_trees
+from repro.core.forest import build_forest
 from repro.core.lut import LUTCircuit
 from repro.core.tree_mapper import MapCand, placement_depth
 from repro.network.network import BooleanNetwork
@@ -59,36 +59,25 @@ class BinPackMapper:
 
     name = "binpack"  # spec name under the common Mapper protocol
 
-    def __init__(self, k: int = 4, preprocess: bool = True):
+    def __init__(self, k: int = 4):
         if k < 2:
             raise MappingError("K must be at least 2, got %d" % k)
         self.k = k
-        self.preprocess = preprocess
 
     def map(self, network: BooleanNetwork) -> LUTCircuit:
-        net = sweep(network) if self.preprocess else network
+        net = sweep(network)
         net.validate()
-
-        forest = build_forest(net)
-        check_forest(forest)
-        circuit = LUTCircuit("%s_bp_k%d" % (net.name, self.k))
-        for name in net.inputs:
-            circuit.add_input(name)
-
-        for tree in forest.trees:
-            cand = self._map_tree(net, tree)
-            _emit_candidate(cand, circuit, tree.root)
-        wire_outputs(net, circuit)
-        circuit.validate(self.k)
-        return circuit
+        chosen = (
+            (tree.root, self._map_tree(net, tree))
+            for tree in build_forest(net).trees
+        )
+        return emit_trees(net, "%s_bp_k%d" % (net.name, self.k), self.k, chosen)
 
     # -- tree mapping -------------------------------------------------------
 
     def _map_tree(self, net: BooleanNetwork, tree) -> MapCand:
         cands: Dict[str, MapCand] = {}
-        for name in net.topological_order():
-            if name not in tree.internal:
-                continue
+        for name in tree.order:
             node = net.node(name)
             items: List[_Item] = []
             for sig in node.fanins:
@@ -175,8 +164,3 @@ class BinPackMapper:
 
         root = bins[0]
         return _make_cand(root.cost + 1, op, tuple(root.placements))
-
-
-def binpack_map_network(network: BooleanNetwork, k: int = 4) -> LUTCircuit:
-    """Convenience wrapper around :class:`BinPackMapper`."""
-    return BinPackMapper(k=k).map(network)

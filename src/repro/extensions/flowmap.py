@@ -40,17 +40,15 @@ class FlowMapper:
 
     name = "flowmap"  # spec name under the common Mapper protocol
 
-    def __init__(self, k: int = 4, preprocess: bool = True):
+    def __init__(self, k: int = 4):
         if k < 2:
             raise MappingError("K must be at least 2, got %d" % k)
         self.k = k
-        self.preprocess = preprocess
 
     # -- public API ------------------------------------------------------------
 
     def map(self, network: BooleanNetwork) -> LUTCircuit:
-        net = sweep(network) if self.preprocess else network
-        net = decompose_to_binary(net)
+        net = decompose_to_binary(sweep(network))
         net.validate()
 
         labels, cuts = self._label_phase(net)
@@ -61,8 +59,7 @@ class FlowMapper:
 
     def optimal_depth(self, network: BooleanNetwork) -> int:
         """The minimum achievable LUT depth (the label of the deepest output)."""
-        net = sweep(network) if self.preprocess else network
-        net = decompose_to_binary(net)
+        net = decompose_to_binary(sweep(network))
         labels, _ = self._label_phase(net)
         depths = [labels[sig.name] for sig in net.outputs.values()]
         return max(depths) if depths else 0
@@ -245,8 +242,3 @@ def _cone_function(
     :func:`~repro.core.substrate.cone_truth_table`.
     """
     return cone_truth_table(net, target, cut)
-
-
-def flowmap_network(network: BooleanNetwork, k: int = 4) -> LUTCircuit:
-    """Convenience wrapper around :class:`FlowMapper`."""
-    return FlowMapper(k=k).map(network)

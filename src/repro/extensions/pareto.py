@@ -23,15 +23,20 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MappingError
-from repro.core.substrate import emit_candidate as _emit_candidate, wire_outputs
-from repro.core.forest import Tree, build_forest, check_forest
+from repro.core.substrate import emit_trees
+from repro.core.forest import Tree, build_forest
 from repro.core.lut import LUTCircuit
-from repro.core.tree_mapper import MapCand
+from repro.core.tree_mapper import MapCand, _chain_to_tuple
 from repro.network.network import BooleanNetwork
 from repro.network.transform import sweep
 
 # A frontier entry inside the DP: (cost, arrival-of-inputs, chain).
 _Entry = Tuple[int, int, Optional[tuple]]
+
+# Nodes with more fanins than this are split in two first (Section 3.1.4).
+_SPLIT_THRESHOLD = 10
+# Frontier points kept per (node, utilization), cheapest first.
+_MAX_FRONTIER = 24
 
 
 def _pareto_insert(entries: List[_Entry], item: _Entry) -> None:
@@ -48,14 +53,6 @@ def _pareto_insert(entries: List[_Entry], item: _Entry) -> None:
 
 def _pareto_sorted(entries: List[_Entry]) -> List[_Entry]:
     return sorted(entries, key=lambda e: (e[0], e[1]))
-
-
-def _chain_to_tuple(chain) -> tuple:
-    placements = []
-    while chain is not None:
-        placements.append(chain[0])
-        chain = chain[1]
-    return tuple(placements)
 
 
 def candidate_leaf_levels(cand: MapCand) -> Dict[str, int]:
@@ -83,12 +80,10 @@ def candidate_leaf_levels(cand: MapCand) -> Dict[str, int]:
 class ParetoTreeMapper:
     """Pareto-frontier variant of the Section 3.1 dynamic program."""
 
-    def __init__(self, k: int, split_threshold: int = 10, max_frontier: int = 24):
+    def __init__(self, k: int):
         if k < 2:
             raise MappingError("K must be at least 2, got %d" % k)
         self.k = k
-        self.split_threshold = split_threshold
-        self.max_frontier = max_frontier
 
     # Tables here hold, per utilization u, a frontier list of MapCands.
 
@@ -101,9 +96,7 @@ class ParetoTreeMapper:
         """Nondominated (cost, arrival) mappings of the tree root."""
         leaf_arrival = leaf_arrival or {}
         tables: Dict[str, List[List[MapCand]]] = {}
-        for name in network.topological_order():
-            if name not in tree.internal:
-                continue
+        for name in tree.order:
             node = network.node(name)
             items: List = []
             for sig in node.fanins:
@@ -122,7 +115,7 @@ class ParetoTreeMapper:
     def _node_frontier(
         self, op: str, items: List, leaf_arrival: Dict[str, int]
     ) -> List[List[MapCand]]:
-        if len(items) > self.split_threshold:
+        if len(items) > _SPLIT_THRESHOLD:
             half = len(items) // 2
             left = self._wrap(op, items[:half], leaf_arrival)
             right = self._wrap(op, items[half:], leaf_arrival)
@@ -225,8 +218,8 @@ class ParetoTreeMapper:
             for entry in best[u - 1]:
                 _pareto_insert(best[u], entry)
         for u in range(k + 1):
-            if len(best[u]) > self.max_frontier:
-                best[u] = _pareto_sorted(best[u])[: self.max_frontier]
+            if len(best[u]) > _MAX_FRONTIER:
+                best[u] = _pareto_sorted(best[u])[:_MAX_FRONTIER]
         return best
 
     def _make_table(
@@ -256,42 +249,14 @@ class DepthBoundedMapper:
 
     name = "depthbounded"  # spec name under the common Mapper protocol
 
-    def __init__(
-        self,
-        k: int = 4,
-        slack: int = 0,
-        split_threshold: int = 10,
-        preprocess: bool = True,
-        max_frontier: int = 24,
-    ):
+    def __init__(self, k: int = 4, slack: int = 0):
         self.k = k
         self.slack = slack
-        self.preprocess = preprocess
-        self._pareto = ParetoTreeMapper(
-            k, split_threshold=split_threshold, max_frontier=max_frontier
-        )
+        self._pareto = ParetoTreeMapper(k)
 
     def map(self, network: BooleanNetwork) -> LUTCircuit:
-        net = sweep(network) if self.preprocess else network
-        net.validate()
-
-        forest = build_forest(net)
-        check_forest(forest)
-
-        # Pass 1: optimal arrival labels + per-tree frontiers.
-        arrival: Dict[str, int] = {name: 0 for name in net.inputs}
-        frontiers: Dict[str, List[MapCand]] = {}
-        for tree in forest.trees:
-            frontier = self._pareto.map_tree_frontier(net, tree, arrival)
-            frontiers[tree.root] = frontier
-            arrival[tree.root] = min(c.input_depth + 1 for c in frontier)
-
-        gate_arrivals = [
-            arrival[sig.name]
-            for sig in net.outputs.values()
-            if net.node(sig.name).is_gate
-        ]
-        bound = (max(gate_arrivals) if gate_arrivals else 0) + self.slack
+        net, forest, arrival, frontiers, depth = self._label(network)
+        bound = depth + self.slack
 
         # Pass 2: reverse-topological selection under required times.
         required: Dict[str, int] = {}
@@ -318,31 +283,37 @@ class DepthBoundedMapper:
                     if limit_time < required.get(leaf, bound):
                         required[leaf] = limit_time
 
-        circuit = LUTCircuit("%s_db_k%d" % (net.name, self.k))
-        for name in net.inputs:
-            circuit.add_input(name)
-        for tree in forest.trees:
-            _emit_candidate(chosen[tree.root], circuit, tree.root)
-        wire_outputs(net, circuit)
-        circuit.validate(self.k)
-        return circuit
+        return emit_trees(
+            net,
+            "%s_db_k%d" % (net.name, self.k),
+            self.k,
+            ((tree.root, chosen[tree.root]) for tree in forest.trees),
+        )
 
     def optimal_depth(self, network: BooleanNetwork) -> int:
         """Minimum forest-respecting LUT depth (pass 1 labels only)."""
-        net = sweep(network) if self.preprocess else network
+        return self._label(network)[4]
+
+    def _label(self, network: BooleanNetwork) -> tuple:
+        """Pass 1: every tree's frontier and optimal arrival label.
+
+        Returns the swept network, its forest, the arrival of every
+        input and tree root, each root's frontier, and the optimal depth
+        (the latest arrival at a gate-driven output).
+        """
+        net = sweep(network)
+        net.validate()
         forest = build_forest(net)
         arrival: Dict[str, int] = {name: 0 for name in net.inputs}
+        frontiers: Dict[str, List[MapCand]] = {}
         for tree in forest.trees:
             frontier = self._pareto.map_tree_frontier(net, tree, arrival)
+            frontiers[tree.root] = frontier
             arrival[tree.root] = min(c.input_depth + 1 for c in frontier)
         gate_arrivals = [
             arrival[sig.name]
             for sig in net.outputs.values()
             if net.node(sig.name).is_gate
         ]
-        return max(gate_arrivals) if gate_arrivals else 0
-
-
-def depth_bounded_map(network: BooleanNetwork, k: int = 4, slack: int = 0) -> LUTCircuit:
-    """Convenience wrapper around :class:`DepthBoundedMapper`."""
-    return DepthBoundedMapper(k=k, slack=slack).map(network)
+        depth = max(gate_arrivals) if gate_arrivals else 0
+        return net, forest, arrival, frontiers, depth

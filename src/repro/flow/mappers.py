@@ -80,9 +80,9 @@ def _map_pass(flow: Flow) -> MapPass:
     row = flow.map_pass
     if row is None:
         raise FlowError(
-            "flow %r ends in a %s, not a LUT circuit; a mapping flow "
-            "must finish with a map or circuit pass"
-            % (flow.name, flow.output_domain)
+            "flow %r has no map pass, so it builds no LUT circuit; "
+            "map passes: %s"
+            % (flow.name, ", ".join(p.name for p in MAP_PASSES))
         )
     return row
 

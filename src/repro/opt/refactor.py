@@ -11,10 +11,10 @@ preserved exactly (and is property-tested to be).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.blif.sop import SopCover
-from repro.core.forest import Tree, build_forest, tree_orders
+from repro.core.forest import Tree, build_forest
 from repro.network.network import AND, BooleanNetwork
 from repro.network.transform import sweep
 from repro.opt.factor import factor_cover
@@ -23,18 +23,13 @@ from repro.opt.script import _emit_factor_tree
 from repro.truth.truthtable import TruthTable
 
 
-def _tree_root_function(
-    net: BooleanNetwork, tree: Tree, order: List[str]
-) -> TruthTable:
-    """The root's function over the tree's sorted distinct leaves.
-
-    ``order`` is the tree's internal nodes in topological order.
-    """
+def _tree_root_function(net: BooleanNetwork, tree: Tree) -> TruthTable:
+    """The root's function over the tree's sorted distinct leaves."""
     leaves = sorted(tree.leaves)
     n = len(leaves)
     values = {leaf: TruthTable.var(j, n).bits for j, leaf in enumerate(leaves)}
     mask = (1 << (1 << n)) - 1
-    for name in order:
+    for name in tree.order:
         node = net.node(name)
         acc = None
         for sig in node.fanins:
@@ -65,10 +60,10 @@ def refactor_network(
     forest = build_forest(net)
     rebuilt: Dict[str, SopCover] = {}
     drop: set = set()
-    for tree, order in zip(forest.trees, tree_orders(forest)):
+    for tree in forest.trees:
         if tree.num_nodes < min_nodes or len(tree.leaves) > max_leaves:
             continue
-        tt = _tree_root_function(net, tree, order)
+        tt = _tree_root_function(net, tree)
         leaves = sorted(tree.leaves)
         if tt.nvars > EXACT_MAX_INPUTS:
             # Too wide for exact minimization: keep the minterm cover.

@@ -147,21 +147,19 @@ def _shipped_spans(trace: bool) -> Iterator[List[SpanRecord]]:
 
 # -- tree-level workers ------------------------------------------------------
 
-#: Worker-side cache: subject token -> (forest, per-tree topo orders).
-#: Lives for the worker process's life, so a subject's forest is built
-#: once per worker no matter how many chunks, K values, or suites visit.
-_WORKER_FORESTS: Dict[str, tuple] = {}
+#: Worker-side cache: subject token -> forest.  Lives for the worker
+#: process's life, so a subject's forest is built once per worker no
+#: matter how many chunks, K values, or suites visit.
+_WORKER_FORESTS: Dict[str, object] = {}
 
 
-def _worker_forest(token: str, net) -> tuple:
-    entry = _WORKER_FORESTS.get(token)
-    if entry is None:
-        from repro.core.forest import build_forest, tree_orders
+def _worker_forest(token: str, net):
+    forest = _WORKER_FORESTS.get(token)
+    if forest is None:
+        from repro.core.forest import build_forest
 
-        forest = build_forest(net)
-        entry = (forest, tree_orders(forest))
-        _WORKER_FORESTS[token] = entry
-    return entry
+        forest = _WORKER_FORESTS[token] = build_forest(net)
+    return forest
 
 
 def _map_tree_chunk(payload: tuple):
@@ -189,18 +187,13 @@ def _map_tree_chunk(payload: tuple):
     net = resolve_subject(token, blob)
     if net is None:
         return _MISS, token
-    forest, orders = _worker_forest(token, net)
+    forest = _worker_forest(token, net)
     counters_before = metrics.counters()
     cache = get_cache() if use_shared_cache else None
     mapper = TreeMapper(k, split_threshold=split_threshold, cache=cache)
     with _shipped_spans(trace) as spans:
         results = [
-            (
-                index,
-                map_one_tree(
-                    mapper, net, forest.trees[index], orders[index], worker
-                ),
-            )
+            (index, map_one_tree(mapper, net, forest.trees[index], worker))
             for index in indices
         ]
     delta = metrics.counter_delta(counters_before)

@@ -9,11 +9,7 @@ from tests.util import make_random_network, make_random_tree_network
 from repro.bench.circuits import wide_and
 from repro.core.chortle import ChortleMapper
 from repro.errors import MappingError
-from repro.extensions.binpack import (
-    BinPackMapper,
-    binpack_map_network,
-    candidate_utilization,
-)
+from repro.extensions.binpack import BinPackMapper, candidate_utilization
 from repro.network.builder import NetworkBuilder
 from repro.verify import verify_equivalence
 
@@ -85,7 +81,7 @@ class TestMechanics:
             BinPackMapper(k=1)
 
     def test_helper(self, fig1):
-        circuit = binpack_map_network(fig1, k=3)
+        circuit = BinPackMapper(k=3).map(fig1)
         verify_equivalence(fig1, circuit)
 
     def test_candidate_utilization(self):

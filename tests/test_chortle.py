@@ -11,7 +11,7 @@ from repro.bench.circuits import (
     ripple_adder,
     wide_and,
 )
-from repro.core.chortle import ChortleMapper, map_network
+from repro.core.chortle import ChortleMapper
 from repro.core.cover import check_cover
 from repro.errors import MappingError
 from repro.network.network import BooleanNetwork, Signal
@@ -154,15 +154,19 @@ class TestEdgeCases:
         assert circuit.num_luts == 2
 
     def test_unswept_single_fanin_rejected_without_preprocess(self):
+        from repro.core.forest import build_forest
+        from repro.core.tree_mapper import TreeMapper
+
         net = BooleanNetwork("buf")
         net.add_input("a")
         net.add_input("b")
         net.add_gate("g", "and", ["a", "b"])
         net.add_gate("buf", "and", ["g"])
         net.set_output("y", "buf")
+        (tree,) = build_forest(net).trees
         with pytest.raises(MappingError):
-            ChortleMapper(k=4, preprocess=False).map(net)
-        # With preprocessing it is fine.
+            TreeMapper(4).map_tree(net, tree)
+        # The mapper sweeps first, so it maps the same network.
         verify_equivalence(net, ChortleMapper(k=4).map(net))
 
     def test_k_validated(self):
@@ -170,7 +174,7 @@ class TestEdgeCases:
             ChortleMapper(k=1)
 
     def test_map_network_helper(self, fig1):
-        assert map_network(fig1, k=3).cost == 3
+        assert ChortleMapper(k=3).map(fig1).cost == 3
 
 
 class TestCostAccountingInvariant:

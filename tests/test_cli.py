@@ -138,6 +138,11 @@ class TestFlows:
         assert rc == 2
         assert "LUT circuit" in capsys.readouterr().err
 
+    def test_circuit_only_flow_rejected(self, blif_file, capsys):
+        rc = main(["map", str(blif_file), "--flow", "merge"])
+        assert rc == 2
+        assert "has no map pass" in capsys.readouterr().err
+
     def test_flow_stage_spans_in_trace(self, blif_file, tmp_path, capsys):
         import json
 

@@ -24,7 +24,7 @@ from repro.bench.generator import (
 )
 from repro.blif.writer import write_lut_circuit, write_network
 from repro.core.chortle import ChortleMapper
-from repro.core.cut_mapper import CutMapper, cut_map_network
+from repro.core.cut_mapper import CutMapper
 from repro.core.cuts import (
     DEFAULT_PRIORITY_SIZE,
     MAX_CUT_SIZE,
@@ -298,7 +298,7 @@ class TestCutMapper:
 
     def test_convenience_wrapper(self):
         net = make_random_network(8, num_gates=15)
-        circuit = cut_map_network(net, k=3)
+        circuit = CutMapper(k=3).map(net)
         circuit.validate(3)
 
     def test_cut_provenance_and_lint_clean(self):

@@ -236,6 +236,14 @@ class TestMapperProtocol:
         with pytest.raises(FlowError):
             FlowMapperAdapter(get_registry().parse("sweep,strash"), k=4)
 
+    @pytest.mark.parametrize("spec", ["merge", "sweep,strash"])
+    def test_flow_without_map_pass_names_the_map_passes(self, spec):
+        with pytest.raises(FlowError) as err:
+            resolve_mapper(spec, 4)
+        message = str(err.value)
+        assert "has no map pass" in message
+        assert all(row.name in message for row in MAP_PASSES)
+
     def test_all_mappers_have_names(self):
         for row in MAP_PASSES:
             assert row.build(4).name == row.name

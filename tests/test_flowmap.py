@@ -9,7 +9,7 @@ from repro.baseline.subject import decompose_to_binary
 from repro.bench.circuits import parity_tree, ripple_adder
 from repro.core.chortle import ChortleMapper
 from repro.errors import MappingError
-from repro.extensions.flowmap import FlowMapper, flowmap_network
+from repro.extensions.flowmap import FlowMapper
 from repro.network.transform import sweep
 from repro.verify import verify_equivalence
 
@@ -115,7 +115,7 @@ class TestMechanics:
             FlowMapper(k=1)
 
     def test_helper(self, fig1):
-        circuit = flowmap_network(fig1, k=3)
+        circuit = FlowMapper(k=3).map(fig1)
         verify_equivalence(fig1, circuit)
 
     def test_lut_inputs_bounded(self):

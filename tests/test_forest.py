@@ -89,3 +89,26 @@ class TestBuildForest:
             forest = build_forest(net)
             assert forest.num_trees == 1
             assert forest.trees[0].num_nodes == net.num_gates
+
+
+def _assert_tree_orders(net):
+    """Each tree's order holds exactly its nodes, root last, in the
+    network's topological order."""
+    forest = build_forest(net)
+    order = net.topological_order()
+    for tree in forest.trees:
+        assert sorted(tree.order) == sorted(tree.internal)
+        assert tree.order[-1] == tree.root
+        assert tree.order == [name for name in order if name in tree.internal]
+    return forest
+
+
+class TestTreeOrder:
+    def test_fig1(self, fig1):
+        forest = _assert_tree_orders(fig1)
+        assert [tree.order for tree in forest.trees] == [["g1", "g2"], ["g3", "g4"]]
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_random_networks(self, seed):
+        forest = _assert_tree_orders(make_random_network(seed, num_gates=30))
+        assert any(len(tree.order) > 2 for tree in forest.trees)

@@ -105,6 +105,40 @@ def test_flow_blif_golden(name, flow):
     assert digest == FLOW_BLIF_SHA1[(name, flow)]
 
 
+# (circuit, mapper) -> sha1 of the BLIF a raw forest-walking mapper
+# writes at K=4.  GOLDEN pins only the LUT counts of chortle and mis;
+# these pin the emitted circuits of all four mappers that walk the
+# fanout-free forest, byte for byte.  Regenerate with
+#   hashlib.sha1(write_lut_circuit(resolve_mapper(mapper, 4).map(net))
+#                .encode()).hexdigest()
+# when a change to tree mapping is intentional.
+TREE_BLIF_SHA1 = {
+    ("count", "chortle"): "3caead8a1ccd6850105aa100760a241007fb9f58",
+    ("count", "binpack"): "75aa728301ccb3ddea9ae6e869541a137637eaf2",
+    ("count", "depthbounded"): "49b4e9245960d06d11d9787af283a718a72c6492",
+    ("count", "mis"): "c4045e7caaa8644e3d2526c9b81b6fa7db2a2dc4",
+    ("9symml", "chortle"): "c648c05c5474a61a16745ef6a4cc177f905c9095",
+    ("9symml", "binpack"): "9fb5039032c641f5d62af02955fd5bb0877395ee",
+    ("9symml", "depthbounded"): "b1f93fe4cb952910022c7445d05dad3e967abaad",
+    ("9symml", "mis"): "6bc7335dc426e8e1a95989f91170f1851053384f",
+    ("alu2", "chortle"): "61c8b57d25c1e782a93b294abb39dd2293ce5e5a",
+    ("alu2", "binpack"): "a739c9cfc926b05fa972bddfd57032fb83fbd320",
+    ("alu2", "depthbounded"): "cbc052ecb08e898f65b783fec24434620422e28e",
+    ("alu2", "mis"): "15ee2b2eed61efd4e38c5a3cc0de23224b1bed5b",
+    ("frg1", "chortle"): "95dbd15d96ea48860f230286ce27ba391b3c5191",
+    ("frg1", "binpack"): "cf2c6a700561761c76be0ebfe865717b3cfcf571",
+    ("frg1", "depthbounded"): "64d67b12ebac9d8e40aeac527fe882a15830f1c4",
+    ("frg1", "mis"): "4d95c1b737d6554f9b5b5de49756ff804702bfce",
+}
+
+
+@pytest.mark.parametrize("name,mapper", sorted(TREE_BLIF_SHA1))
+def test_tree_mapper_blif_golden(name, mapper):
+    text = write_lut_circuit(resolve_mapper(mapper, 4).map(_net(name)))
+    digest = hashlib.sha1(text.encode()).hexdigest()
+    assert digest == TREE_BLIF_SHA1[(name, mapper)]
+
+
 # (circuit, mapper) -> sha1 of the BLIF written at K=6.  These pin the
 # priority-cut kernel (enumeration ranking, cover selection, exact-area
 # refinement) byte for byte, beyond the LUT counts and depth of

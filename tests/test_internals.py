@@ -41,7 +41,7 @@ class TestFlowMapInternals:
 
         for seed in range(4):
             net = decompose_to_binary(sweep(make_random_network(seed, num_gates=12)))
-            fm = FlowMapper(k=4, preprocess=False)
+            fm = FlowMapper(k=4)
             labels, cuts = fm._label_phase(net)
             for node in net.gates():
                 for sig in node.fanins:
@@ -51,7 +51,7 @@ class TestFlowMapInternals:
         from repro.baseline.subject import decompose_to_binary
 
         net = decompose_to_binary(sweep(make_random_network(1, num_gates=12)))
-        fm = FlowMapper(k=3, preprocess=False)
+        fm = FlowMapper(k=3)
         labels, cuts = fm._label_phase(net)
         for target, cut in cuts.items():
             assert 1 <= len(cut) <= 3

@@ -4,7 +4,7 @@ import pytest
 
 from tests.util import make_random_network, make_random_tree_network
 from repro.baseline.library import Library, kernel_library
-from repro.baseline.mis_mapper import MisMapper, mis_map_network
+from repro.baseline.mis_mapper import MisMapper
 from repro.bench.circuits import figure1_network, parity_tree, wide_and
 from repro.core.chortle import ChortleMapper
 from repro.errors import MappingError
@@ -115,5 +115,5 @@ class TestReconvergence:
 
     def test_helper(self):
         net = make_random_network(1)
-        circuit = mis_map_network(net, k=3)
+        circuit = MisMapper(k=3).map(net)
         verify_equivalence(net, circuit)

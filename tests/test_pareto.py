@@ -12,7 +12,6 @@ from repro.extensions.pareto import (
     ParetoTreeMapper,
     _pareto_insert,
     candidate_leaf_levels,
-    depth_bounded_map,
 )
 from repro.verify import verify_equivalence
 
@@ -118,7 +117,7 @@ class TestDepthBoundedMapper:
         assert all(a >= b for a, b in zip(costs, costs[1:]))
 
     def test_helper(self, fig1):
-        circuit = depth_bounded_map(fig1, k=3, slack=0)
+        circuit = DepthBoundedMapper(k=3, slack=0).map(fig1)
         verify_equivalence(fig1, circuit)
 
     def test_passthrough_outputs(self):

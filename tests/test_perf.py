@@ -701,18 +701,17 @@ def _wide_node_network(seed, width):
 
 def _map_forest(net, k, mapper_cls=TreeMapper, emit=None, split_threshold=10):
     """Map every tree of ``net`` with the given DP/emission and return BLIF."""
-    from repro.core.forest import build_forest, tree_orders
+    from repro.core.forest import build_forest
     from repro.core.lut import LUTCircuit
     from repro.core.substrate import emit_candidate, wire_outputs
 
     forest = build_forest(net)
-    orders = tree_orders(forest)
     circuit = LUTCircuit("%s_k%d" % (net.name, k))
     for name in net.inputs:
         circuit.add_input(name)
     mapper = mapper_cls(k, split_threshold=split_threshold)
-    for tree, order in zip(forest.trees, orders):
-        cand = mapper.map_tree(net, tree, order=order)
+    for tree in forest.trees:
+        cand = mapper.map_tree(net, tree)
         (emit or emit_candidate)(cand, circuit, tree.root)
     wire_outputs(net, circuit)
     circuit.validate(k)

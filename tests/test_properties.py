@@ -95,7 +95,8 @@ def test_binpack_equivalence_property(net, k):
           suppress_health_check=[HealthCheck.too_slow])
 def test_chortle_matches_paper_pseudocode(net, k):
     """The optimized DP equals the exhaustive transliteration, always."""
-    circuit = ChortleMapper(k=k, preprocess=False).map(net)
+    net = sweep(net)
+    circuit = ChortleMapper(k=k).map(net)
     forest = build_forest(net)
     oracle = sum(exhaustive_map_tree(net, t, k) for t in forest.trees)
     assert circuit.cost == oracle
