@@ -51,11 +51,7 @@ from repro.blif import (
     write_lut_circuit,
     write_network,
 )
-from repro.verify import (
-    equivalent,
-    verify_equivalence,
-    verify_network_equivalence,
-)
+from repro.verify import verify_equivalence
 from repro.verilog import write_verilog
 from repro.report import MappingReport, build_report
 from repro.analysis import analyze_timing, analyze_wiring
@@ -90,8 +86,6 @@ __all__ = [
     "write_network",
     "write_lut_circuit",
     "verify_equivalence",
-    "verify_network_equivalence",
-    "equivalent",
     "write_verilog",
     "MappingReport",
     "build_report",

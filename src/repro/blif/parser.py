@@ -185,6 +185,14 @@ def parse_blif(text: str, validate: bool = True) -> BlifModel:
 
 
 def parse_blif_file(path, validate: bool = True) -> BlifModel:
-    """Parse a BLIF file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_blif(handle.read(), validate=validate)
+    """Parse a BLIF file from disk.
+
+    A file that cannot be opened or decoded as UTF-8 raises
+    :class:`BlifError`, like a malformed one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BlifError("cannot read BLIF file %r: %s" % (str(path), exc)) from exc
+    return parse_blif(text, validate=validate)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -67,11 +68,37 @@ from repro.opt import factored_network_from_blif
 from repro.verify import verify_equivalence
 
 
-def _load_network(path: str, factor: bool, minimize: bool = False):
-    model = parse_blif_file(path)
-    if factor or minimize:
-        return factored_network_from_blif(model, minimize=minimize)
-    return blif_to_network(model)
+def _read_network(spec: str, factor: bool = False, minimize: bool = False):
+    """The network an input names: a BLIF file, or an MCNC/adversarial cell.
+
+    A path that exists is parsed as BLIF.  Otherwise an MCNC profile or
+    adversarial preset name builds that cell directly (no BLIF round
+    trip, so node names are the generator's).  ``factor`` and
+    ``minimize`` rewrite BLIF tables, so they are errors on a cell.
+    """
+    if os.path.exists(spec):
+        model = parse_blif_file(spec)
+        if factor or minimize:
+            return factored_network_from_blif(model, minimize=minimize)
+        return blif_to_network(model)
+    from repro.bench.adversarial import ADVERSARIAL_PRESETS, resolve_cell
+
+    if spec in MCNC_PROFILES or spec in ADVERSARIAL_PRESETS:
+        if factor or minimize:
+            raise ReproError(
+                "--factor and --minimize rewrite BLIF tables; %r is a cell "
+                "name, not a BLIF file" % spec
+            )
+        return resolve_cell(spec)
+    raise ReproError(
+        "input %r is neither a BLIF file nor a known cell (MCNC profiles: "
+        "%s; adversarial presets: %s)"
+        % (
+            spec,
+            ", ".join(sorted(MCNC_PROFILES)),
+            ", ".join(sorted(ADVERSARIAL_PRESETS)),
+        )
+    )
 
 
 def _cli_cache(args: argparse.Namespace):
@@ -179,7 +206,7 @@ def _print_stage_table(sink, stream=None) -> None:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    net = _load_network(args.input, args.factor, getattr(args, "minimize", False))
+    net = _read_network(args.input, args.factor, args.minimize)
     cache = _cli_cache(args)
     mapper = _resolve_cli_mapper(args, cache=cache)
     mapper_name = mapper.name
@@ -204,16 +231,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
         _report_map_explain(mapper, mapper_name, args)
     if args.profile:
         _print_stage_table(sink)
-    text = write_lut_circuit(circuit)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _output(args.output, write_lut_circuit(circuit))
     if args.verilog:
-        from repro.verilog import write_verilog_file
+        from repro.verilog import write_verilog
 
-        write_verilog_file(circuit, args.verilog)
+        _write_text(args.verilog, write_verilog(circuit))
     if args.report or args.json_report:
         from repro.report import build_report
 
@@ -277,7 +299,7 @@ def _report_map_lint(diagnostics) -> bool:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Map with tracing on and print the span tree + counter summary."""
-    net = _load_network(args.input, args.factor, getattr(args, "minimize", False))
+    net = _read_network(args.input, args.factor, args.minimize)
     cache = _cli_cache(args)
     mapper = _resolve_cli_mapper(args, cache=cache)
     mapper_name = mapper.name
@@ -322,32 +344,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explain_network(spec: str):
-    """The network named by an explain input: a BLIF path or cell name."""
-    import os
-
-    if os.path.exists(spec):
-        return _load_network(spec, factor=False)
-    from repro.bench.adversarial import ADVERSARIAL_PRESETS, resolve_cell
-
-    if spec in MCNC_PROFILES or spec in ADVERSARIAL_PRESETS:
-        return resolve_cell(spec)
-    raise ReproError(
-        "explain input %r is neither a readable BLIF file nor a known "
-        "cell (MCNC profiles: %s; adversarial presets: %s)"
-        % (
-            spec,
-            ", ".join(sorted(MCNC_PROFILES)),
-            ", ".join(sorted(ADVERSARIAL_PRESETS)),
-        )
-    )
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Map with decision recording on and render the explanation."""
     from repro.obs.explain import render_explanation
 
-    net = _explain_network(args.input)
+    net = _read_network(args.input)
     mapper = _resolve_cli_mapper(args)
     mapper_name = mapper.name
     circuit = mapper.map(net)
@@ -382,11 +383,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         text = exp.to_json() + "\n"
     else:
         text = render_explanation(explanation, node=args.node) + "\n"
+    _output(args.output, text)
     if args.output:
-        _write_text(args.output, text)
         print("wrote %s" % args.output, file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -513,7 +512,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
                 diagnostics.extend(lint_semantic(circuit, ctx))
         else:
-            net = _load_network(path, factor=False)
+            net = _read_network(path)
             diagnostics.extend(
                 lint_network(net, LintContext(subject=path))
             )
@@ -540,17 +539,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.format == "json"
         else render_text(kept, suppressed=suppressed)
     )
+    _output(args.output, report + "\n")
     if args.output:
-        _write_text(args.output, report + "\n")
         print("wrote %s" % args.output, file=sys.stderr)
-    else:
-        print(report)
     gating = [d for d in kept if at_least(d.severity, args.fail_on)]
     return 1 if gating else 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    net = _load_network(args.input, args.factor)
+    net = _read_network(args.input, args.factor)
     stats = network_stats(net)
     print(stats)
     print("fanin histogram: %s" % dict(sorted(stats.fanin_histogram.items())))
@@ -561,12 +558,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.bench.adversarial import resolve_cell
 
     net = resolve_cell(args.profile)
-    text = write_network(net)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _output(args.output, write_network(net))
     print(str(network_stats(net)), file=sys.stderr)
     return 0
 
@@ -574,8 +566,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 #: Mappers the adversarial corpus gate sweeps by default: every
 #: registered algorithmic mapper that targets arbitrary K.
 CORPUS_MAPPERS = ("chortle", "mis", "cutmap", "flowmap", "binpack")
-
-_AUTO_EXHAUSTIVE_LIMIT = 14
 
 
 def _format_counterexample(vector) -> str:
@@ -591,24 +581,19 @@ def _verify_pair(golden, candidate, method: str) -> dict:
     input limit and proves above it; ``sim`` is the historical
     simulation path, whose above-limit verdict is a flagged sample.
     """
-    from repro.core.lut import LUTCircuit
     from repro.errors import VerificationError
-    from repro.verify import verify_equivalence as _verify_ckt
-    from repro.verify import verify_network_equivalence as _verify_net
+    from repro.verify import EXHAUSTIVE_LIMIT
 
     num_inputs = len(golden.inputs)
-    if method == "sat" or (
-        method == "auto" and num_inputs > _AUTO_EXHAUSTIVE_LIMIT
-    ):
+    if method == "sat" or (method == "auto" and num_inputs > EXHAUSTIVE_LIMIT):
         from repro.sat.miter import check_equivalence
 
         result = check_equivalence(golden, candidate)
         verdict = result.to_dict()
         verdict.update(inputs=num_inputs, proved=True, sampled=False)
         return verdict
-    verify = _verify_ckt if isinstance(candidate, LUTCircuit) else _verify_net
     try:
-        covered = verify(golden, candidate, method="sim")
+        covered = verify_equivalence(golden, candidate, method="sim")
     except VerificationError as exc:
         return {
             "equivalent": False,
@@ -794,11 +779,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         golden = resolve_cell(args.cell[0])
         candidate = resolve_mapper(args.mapper, args.k).map(golden)
     elif len(args.files) == 2:
-        golden = _load_network(args.files[0], factor=False)
+        golden = _read_network(args.files[0])
         if args.per_lut:
             candidate = _mapped_circuit_from_blif(args.files[1])
         else:
-            candidate = _load_network(args.files[1], factor=False)
+            candidate = _read_network(args.files[1])
     else:
         raise ReproError(
             "verify needs two BLIF files, --cell NAME, or --corpus"
@@ -816,11 +801,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not per_lut["equivalent"]:
             verdict = dict(verdict, equivalent=False)
     if payload is not None:
-        text = json.dumps(payload, indent=2)
-        if args.output:
-            _write_text(args.output, text + "\n")
-        else:
-            print(text)
+        _output(args.output, json.dumps(payload, indent=2) + "\n")
     return 0 if verdict["equivalent"] else 1
 
 
@@ -856,6 +837,14 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise ReproError("cannot write %r: %s" % (path, exc)) from exc
+
+
+def _output(path: Optional[str], text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when there is no path."""
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _finish_diff(diff, args: argparse.Namespace) -> int:
@@ -899,6 +888,9 @@ def _cmd_qor_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_qor_gate(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from repro.bench.mcnc import TABLE_CIRCUITS
     from repro.obs.qor import RunRecord
     from repro.obs.qordiff import diff_records
 
@@ -909,6 +901,25 @@ def _cmd_qor_gate(args: argparse.Namespace) -> int:
         print(
             "wrote %s: %s" % (args.output, current.describe()), file=sys.stderr
         )
+    # Gate only the baseline cells this sweep covers, so a narrowed gate
+    # can pass; a covered cell the run lacks still fails as missing.
+    circuits = set(args.circuits or TABLE_CIRCUITS)
+    covered = [
+        report
+        for report in baseline.reports
+        if report.circuit_name in circuits
+        and report.mapper in args.mappers
+        and report.k in args.ks
+    ]
+    print(
+        "qor gate: %d of %d baseline cells in the sweep (%d left out)"
+        % (
+            len(covered),
+            len(baseline.reports),
+            len(baseline.reports) - len(covered),
+        )
+    )
+    baseline = dataclasses.replace(baseline, reports=covered)
     return _finish_diff(diff_records(baseline, current), args)
 
 
@@ -916,11 +927,7 @@ def _cmd_qor_report(args: argparse.Namespace) -> int:
     from repro.obs.qor import RunRecord
     from repro.obs.qordiff import render_record
 
-    text = render_record(RunRecord.load(args.record))
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _output(args.output, render_record(RunRecord.load(args.record)))
     return 0
 
 
@@ -980,24 +987,23 @@ def _cmd_perf_flame(args: argparse.Namespace) -> int:
 
     records = _perf_trace_records(args)
     lines = folded_stacks(records)
-    text = "\n".join(lines) + "\n" if lines else ""
+    _output(args.output, "\n".join(lines) + "\n" if lines else "")
     if args.output:
-        _write_text(args.output, text)
         print(
             "wrote %d folded stacks to %s" % (len(lines), args.output),
             file=sys.stderr,
         )
-    else:
-        sys.stdout.write(text)
     return 0
 
 
-def _add_mapping_options(
-    p: argparse.ArgumentParser, default_mapper: str
-) -> None:
-    """The input, mapper choice, front end, trace and performance-layer
-    options shared by ``map`` and ``profile``."""
-    p.add_argument("input", help="input BLIF file")
+def _add_input_options(p: argparse.ArgumentParser, default_mapper: str) -> None:
+    """The input, ``-k``, ``--mapper`` and ``--flow`` options shared by
+    ``map``, ``profile`` and ``explain``."""
+    p.add_argument(
+        "input",
+        help="input BLIF file, or an MCNC profile or adversarial preset "
+        "name (e.g. 9symml)",
+    )
     p.add_argument("-k", type=int, default=4, help="LUT input count (default 4)")
     p.add_argument(
         "--mapper",
@@ -1011,6 +1017,11 @@ def _add_mapping_options(
         help="map with a registered flow or a comma-separated pass spec "
         "(e.g. 'sweep,strash,chortle,merge'); overrides --mapper",
     )
+
+
+def _add_mapping_options(p: argparse.ArgumentParser) -> None:
+    """The check, front-end, trace and performance-layer options shared
+    by ``map`` and ``profile``."""
     p.add_argument(
         "--checked",
         nargs="?",
@@ -1061,6 +1072,46 @@ def _add_mapping_options(
     )
 
 
+def _add_sweep_options(
+    p: argparse.ArgumentParser, mappers: Sequence[str], ks: Sequence[int]
+) -> None:
+    """The suite-sweep options shared by ``qor record|gate`` and
+    ``perf top|flame``; each command family passes its own defaults."""
+    p.add_argument(
+        "--circuits",
+        nargs="*",
+        default=None,
+        metavar="NAME",
+        help="MCNC profile names (default: the Table 1-4 suite)",
+    )
+    p.add_argument(
+        "--mappers",
+        nargs="+",
+        default=list(mappers),
+        metavar="MAPPER",
+        help="mappers to sweep (default: %s)" % " ".join(mappers),
+    )
+    p.add_argument(
+        "--ks",
+        nargs="+",
+        type=int,
+        default=list(ks),
+        metavar="K",
+        help="LUT input counts to sweep (default: %s)"
+        % " ".join(str(k) for k in ks),
+    )
+    p.add_argument(
+        "--cache",
+        action="store_true",
+        help="memoize node tables during the sweep (bit-identical)",
+    )
+    p.add_argument(
+        "--progress",
+        action="store_true",
+        help="per-cell heartbeat lines on stderr while the suite runs",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chortle",
@@ -1070,7 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="map a BLIF network into K-input LUTs")
-    _add_mapping_options(p_map, default_mapper="chortle")
+    _add_input_options(p_map, default_mapper="chortle")
+    _add_mapping_options(p_map)
     p_map.add_argument("-o", "--output", help="output BLIF file (default stdout)")
     p_map.add_argument(
         "--lint",
@@ -1126,7 +1178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser(
         "profile", help="map with tracing on; print span tree and counters"
     )
-    _add_mapping_options(p_profile, default_mapper="area")
+    _add_input_options(p_profile, default_mapper="area")
+    _add_mapping_options(p_profile)
     p_profile.add_argument(
         "--trees",
         action="store_true",
@@ -1139,26 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="map with decision recording on; print the explanation "
         "(who pays area/depth, per-node DP choices)",
     )
-    p_explain.add_argument(
-        "input",
-        help="input BLIF file, or an MCNC profile name (e.g. 9symml)",
-    )
-    p_explain.add_argument(
-        "-k", type=int, default=4, help="LUT input count (default 4)"
-    )
-    p_explain.add_argument(
-        "--mapper",
-        choices=mapper_names(),
-        default="chortle",
-        help="mapper or flow to explain (default chortle; mappers without "
-        "decision recording report n/a)",
-    )
-    p_explain.add_argument(
-        "--flow",
-        metavar="NAME_OR_SPEC",
-        help="explain a registered flow or comma-separated pass spec; "
-        "overrides --mapper",
-    )
+    _add_input_options(p_explain, default_mapper="chortle")
     p_explain.add_argument(
         "--node",
         metavar="NAME",
@@ -1200,7 +1234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "files",
         nargs="*",
-        help="BLIF files to lint (networks by default; see --mapped)",
+        help="BLIF files or cell names to lint (networks by default; "
+        "see --mapped)",
     )
     p_lint.add_argument(
         "--mapped",
@@ -1302,7 +1337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=_cmd_lint)
 
     p_stats = sub.add_parser("stats", help="print network statistics")
-    p_stats.add_argument("input", help="input BLIF file")
+    p_stats.add_argument("input", help="input BLIF file or cell name")
     p_stats.add_argument("--factor", action="store_true")
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -1329,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "files",
         nargs="*",
         metavar="BLIF",
-        help="golden and candidate BLIF files (exactly two)",
+        help="golden and candidate BLIF files or cell names (exactly two)",
     )
     p_verify.add_argument(
         "--cell",
@@ -1399,28 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
     qor_sub = p_qor.add_subparsers(dest="qor_command", required=True)
 
     def add_suite_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--circuits",
-            nargs="*",
-            default=None,
-            metavar="NAME",
-            help="MCNC profile names (default: the Table 1-4 suite)",
-        )
-        p.add_argument(
-            "--mappers",
-            nargs="+",
-            default=["chortle", "mis"],
-            metavar="MAPPER",
-            help="mappers to sweep (default: chortle mis)",
-        )
-        p.add_argument(
-            "--ks",
-            nargs="+",
-            type=int,
-            default=[2, 3, 4, 5],
-            metavar="K",
-            help="LUT input counts to sweep (default: 2 3 4 5)",
-        )
+        _add_sweep_options(p, mappers=("chortle", "mis"), ks=(2, 3, 4, 5))
         p.add_argument(
             "--verify",
             action="store_true",
@@ -1439,16 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="fan suite cells across N worker processes "
             "(deterministic, QoR-identical to serial)",
-        )
-        p.add_argument(
-            "--cache",
-            action="store_true",
-            help="memoize node tables during the sweep (bit-identical)",
-        )
-        p.add_argument(
-            "--progress",
-            action="store_true",
-            help="per-cell heartbeat lines on stderr while the suite runs",
         )
 
     q_record = qor_sub.add_parser(
@@ -1505,38 +1509,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="analyze an existing --trace JSONL file instead of "
             "running the suite",
         )
-        p.add_argument(
-            "--circuits",
-            nargs="*",
-            default=None,
-            metavar="NAME",
-            help="MCNC profile names (default: the Table 1-4 suite)",
-        )
-        p.add_argument(
-            "--ks",
-            nargs="+",
-            type=int,
-            default=[4],
-            metavar="K",
-            help="LUT input counts to sweep (default: 4)",
-        )
-        p.add_argument(
-            "--mappers",
-            nargs="+",
-            default=["chortle"],
-            metavar="MAPPER",
-            help="mappers to trace (default: chortle)",
-        )
-        p.add_argument(
-            "--cache",
-            action="store_true",
-            help="memoize node tables during the traced run",
-        )
-        p.add_argument(
-            "--progress",
-            action="store_true",
-            help="heartbeat lines on stderr while the suite runs",
-        )
+        _add_sweep_options(p, mappers=("chortle",), ks=(4,))
 
     pf_top = perf_sub.add_parser(
         "top",

@@ -196,13 +196,19 @@ class LUTCircuit:
                             order.append(name)
         return order
 
-    def depth(self) -> int:
-        """Longest path from inputs to outputs in LUT levels."""
+    def levels(self) -> Dict[str, int]:
+        """LUT level of every wire: 0 for inputs and fanin-free tables,
+        one more than the deepest fanin for every other LUT."""
         level: Dict[str, int] = {name: 0 for name in self._inputs}
         for name in self.topological_order():
             lut = self._luts[name]
             fanin_levels = [level.get(src, 0) for src in lut.inputs]
             level[name] = 1 + max(fanin_levels) if fanin_levels else 0
+        return level
+
+    def depth(self) -> int:
+        """Longest path from inputs to outputs in LUT levels."""
+        level = self.levels()
         if not self._outputs:
             return 0
         return max(level.get(sig, 0) for sig in self._outputs.values())

@@ -21,11 +21,7 @@ than the tree path being privileged:
   tree, the back end of every :class:`~repro.core.tree_mapper.MapCand`
   mapper (chortle, binpack, depthbounded);
 * :func:`wire_outputs` — output-port plumbing (constants, inverters,
-  buffers) shared by every mapper;
-* :func:`circuit_to_network` — re-express a mapped circuit as a plain
-  AND/OR network, so two *circuits* can be compared through
-  :func:`repro.verify.verify_network_equivalence` (the cross-mapper
-  equivalence fuzz path).
+  buffers) shared by every mapper.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from repro.core.lut import LUTCircuit, LUTProvenance
 from repro.core.expr import Leaf, NotExpr, OpExpr, to_truth_table
 from repro.errors import MappingError
-from repro.network.network import AND, CONST0, CONST1, OR, BooleanNetwork, Signal
+from repro.network.network import AND, CONST0, CONST1, BooleanNetwork
 from repro.truth.truthtable import TruthTable
 
 # -- cone evaluation ---------------------------------------------------------
@@ -293,48 +289,3 @@ def wire_outputs(net: BooleanNetwork, circuit: LUTCircuit) -> None:
             circuit.set_output(port, materialized[key])
         else:
             circuit.set_output(port, sig.name)
-
-
-# -- circuit-to-network lowering ---------------------------------------------
-
-
-def circuit_to_network(circuit: LUTCircuit, name: str = "") -> BooleanNetwork:
-    """Re-express a mapped circuit as a plain AND/OR boolean network.
-
-    Each lookup table becomes its sum-of-products: one AND gate per
-    minterm over the table's input wires (with inverted literals carried
-    on the edges) and an OR gate collecting them.  Constant and empty
-    tables become constant nodes.  The result computes exactly what the
-    circuit computes, so two mapped circuits — from *different* mappers
-    — can be compared through
-    :func:`repro.verify.verify_network_equivalence`.
-    """
-    net = BooleanNetwork(name or ("%s_net" % circuit.name))
-    for pi in circuit.inputs:
-        net.add_input(pi)
-    for lut_name in circuit.topological_order():
-        lut = circuit.lut(lut_name)
-        minterms = list(lut.tt.minterms())
-        nvars = lut.tt.nvars
-        if nvars == 0 or not minterms or len(minterms) == (1 << nvars):
-            net.add_const(lut.name, bool(minterms))
-            continue
-        terms: List[Signal] = []
-        for m in minterms:
-            literals = [
-                Signal(lut.inputs[j], not ((m >> j) & 1))
-                for j in range(nvars)
-            ]
-            if len(minterms) == 1:
-                net.add_gate(lut.name, AND, literals)
-                terms = []
-                break
-            term = net.fresh_name("%s_m%d" % (lut.name, m))
-            net.add_gate(term, AND, literals)
-            terms.append(Signal(term))
-        if terms:
-            net.add_gate(lut.name, OR, terms)
-    for port, sig in circuit.outputs.items():
-        net.set_output(port, Signal(sig))
-    net.validate()
-    return net

@@ -51,11 +51,7 @@ def draw_network(network: BooleanNetwork) -> str:
 
 def draw_circuit(circuit: LUTCircuit) -> str:
     """Level-ordered listing of a mapped LUT circuit."""
-    level: Dict[str, int] = {name: 0 for name in circuit.inputs}
-    for name in circuit.topological_order():
-        lut = circuit.lut(name)
-        fanin_levels = [level.get(src, 0) for src in lut.inputs]
-        level[name] = 1 + max(fanin_levels) if fanin_levels else 0
+    level = circuit.levels()
     by_level: Dict[int, List[str]] = {}
     for name in circuit.topological_order():
         by_level.setdefault(level[name], []).append(name)

@@ -208,19 +208,12 @@ class Flow:
         self, index: int, stage: Pass, out, golden: BooleanNetwork,
         ctx: FlowContext,
     ) -> None:
-        from repro.verify import verify_equivalence, verify_network_equivalence
+        from repro.verify import verify_equivalence
 
         try:
-            if isinstance(out, LUTCircuit):
-                verify_equivalence(
-                    golden, out, vectors=VERIFY_VECTORS,
-                    method=ctx.verify_method,
-                )
-            else:
-                verify_network_equivalence(
-                    golden, out, vectors=VERIFY_VECTORS,
-                    method=ctx.verify_method,
-                )
+            verify_equivalence(
+                golden, out, vectors=VERIFY_VECTORS, method=ctx.verify_method
+            )
         except VerificationError as exc:
             raise FlowError(
                 "checked flow %r: stage %d (%s) broke equivalence: %s"

@@ -230,15 +230,6 @@ class DecisionRecorder:
 # -- circuit analytics -------------------------------------------------------
 
 
-def _levels(circuit: LUTCircuit) -> Dict[str, int]:
-    level: Dict[str, int] = {name: 0 for name in circuit.inputs}
-    for name in circuit.topological_order():
-        lut = circuit.lut(name)
-        fanin_levels = [level.get(src, 0) for src in lut.inputs]
-        level[name] = 1 + max(fanin_levels) if fanin_levels else 0
-    return level
-
-
 def critical_path(circuit: LUTCircuit) -> List[str]:
     """LUT names along one deepest output-to-source path, source first.
 
@@ -250,7 +241,7 @@ def critical_path(circuit: LUTCircuit) -> List[str]:
     outputs = circuit.outputs
     if not outputs:
         return []
-    level = _levels(circuit)
+    level = circuit.levels()
     sig = min(
         outputs.values(), key=lambda name: (-level.get(name, 0), name)
     )

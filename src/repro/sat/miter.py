@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.lut import LUTCircuit
 from repro.errors import VerificationError
-from repro.network.network import BooleanNetwork
-from repro.network.simulate import simulate
 from repro.obs import metrics, span
 from repro.sat.cnf import (
     Encoder,
@@ -40,8 +38,7 @@ from repro.sat.cnf import (
     network_output_lits,
 )
 from repro.sat.solver import CdclSolver
-
-Subject = Union[BooleanNetwork, LUTCircuit]
+from repro.verify import Subject, check_interfaces, output_words
 
 _SIM_WIDTH = 256
 _SIM_SEED = 0x5A75
@@ -110,39 +107,6 @@ class PerLutResult:
 # -- subject plumbing ---------------------------------------------------------
 
 
-def _subject_inputs(subject: Subject) -> Tuple[str, ...]:
-    return subject.inputs
-
-
-def _output_words(
-    subject: Subject, words: Dict[str, int], width: int
-) -> Dict[str, int]:
-    """Bit-parallel output-port words of either subject kind."""
-    mask = (1 << width) - 1
-    if isinstance(subject, LUTCircuit):
-        values = subject.simulate(words, width)
-        return {port: values[wire] for port, wire in subject.outputs.items()}
-    values = simulate(subject, words, width)
-    out: Dict[str, int] = {}
-    for port, sig in subject.outputs.items():
-        word = values[sig.name]
-        out[port] = (~word & mask) if sig.inv else word
-    return out
-
-
-def _check_interfaces(golden: Subject, candidate: Subject) -> List[str]:
-    """Validate shared inputs/ports; returns the ports to compare."""
-    if set(golden.inputs) != set(candidate.inputs):
-        raise VerificationError(
-            "input sets differ: %s vs %s"
-            % (sorted(golden.inputs), sorted(candidate.inputs))
-        )
-    missing = set(golden.outputs) - set(candidate.outputs)
-    if missing:
-        raise VerificationError("missing output ports: %s" % sorted(missing))
-    return sorted(golden.outputs)
-
-
 def _encode(encoder: Encoder, subject: Subject) -> Dict[str, int]:
     if isinstance(subject, LUTCircuit):
         return encoder.encode_circuit(subject)
@@ -186,13 +150,13 @@ def _simulation_counterexample(
     golden: Subject, candidate: Subject, ports: List[str]
 ) -> Optional[EquivalenceResult]:
     """A random-vector refutation, or None when simulation finds nothing."""
-    inputs = _subject_inputs(golden)
+    inputs = golden.inputs
     if not inputs:
         return None
     rng = random.Random(_SIM_SEED)
     words = {name: rng.getrandbits(_SIM_WIDTH) for name in inputs}
-    golden_words = _output_words(golden, words, _SIM_WIDTH)
-    cand_words = _output_words(candidate, words, _SIM_WIDTH)
+    golden_words = output_words(golden, words, _SIM_WIDTH)
+    cand_words = output_words(candidate, words, _SIM_WIDTH)
     mask = (1 << _SIM_WIDTH) - 1
     for port in ports:
         diff = (golden_words[port] ^ cand_words[port]) & mask
@@ -220,10 +184,10 @@ def check_equivalence(
 ) -> EquivalenceResult:
     """Prove or refute output-port equivalence of two subjects.
 
-    Subjects may be networks or LUT circuits in any combination; they
-    must share input names, and every golden port must exist in the
-    candidate.  The returned verdict is always conclusive: equivalence
-    is an UNSAT proof per port, inequivalence carries a counterexample.
+    Subjects may be networks or LUT circuits in any combination, under
+    the interface rules of :func:`repro.verify.check_interfaces`.  The
+    returned verdict is always conclusive: equivalence is an UNSAT proof
+    per port, inequivalence carries a counterexample.
     """
     with span(
         "sat.check",
@@ -232,7 +196,7 @@ def check_equivalence(
         granularity="whole",
     ) as sp:
         metrics.count("sat.checks")
-        ports = _check_interfaces(golden, candidate)
+        ports = check_interfaces(golden, candidate)
         if use_simulation:
             refuted = _simulation_counterexample(golden, candidate, ports)
             if refuted is not None:
@@ -253,7 +217,7 @@ def check_equivalence(
             if satisfiable:
                 if encoder.is_true(miter):
                     vector = {name: 0 for name in sorted(encoder.inputs)}
-                    expected = _output_words(
+                    expected = output_words(
                         golden, {n: 0 for n in golden.inputs}, 1
                     )[port] & 1
                     actual = expected ^ 1

@@ -1,5 +1,9 @@
-"""Functional verification of mapped circuits against source networks.
+"""Functional equivalence of any two networks or LUT circuits.
 
+:func:`verify_equivalence` is the one check: a golden subject against a
+candidate, each a :class:`~repro.network.network.BooleanNetwork` or a
+:class:`~repro.core.lut.LUTCircuit` (a mapping against its source, a
+network pass against its input, or two mappings against each other).
 Three methods, selected by the ``method`` argument:
 
 * ``"sim"`` — the historical behavior: exhaustive simulation up to
@@ -15,16 +19,19 @@ Three methods, selected by the ``method`` argument:
   verdict is *always* a proof — auto never silently degrades to
   sampling.
 
-Both entry points return a :class:`VerifyResult`, an ``int`` subclass
-carrying the vector count (``2**inputs`` for proofs) plus the
+It returns a :class:`VerifyResult`, an ``int`` subclass carrying the
+vector count (``2**inputs`` for proofs) plus the
 ``method``/``mode``/``sampled``/``proved`` verdict metadata, so code
 and tests written against the historical plain-int return keep working.
+:func:`check_interfaces` and :func:`output_words` are shared with the
+miter engine's :func:`repro.sat.miter.check_equivalence`; they live here
+so that importing this module never loads the SAT engine.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List, Union
 
 from repro.core.lut import LUTCircuit
 from repro.errors import VerificationError
@@ -33,6 +40,11 @@ from repro.network.simulate import exhaustive_input_words, simulate
 from repro.obs import metrics, span
 
 METHODS = ("sim", "sat", "auto")
+
+#: Input count up to which ``"sim"`` and ``"auto"`` simulate every vector.
+EXHAUSTIVE_LIMIT = 14
+
+Subject = Union[BooleanNetwork, LUTCircuit]
 
 
 class VerifyResult(int):
@@ -75,6 +87,47 @@ def _check_method(method: str) -> None:
         )
 
 
+def check_interfaces(golden: Subject, candidate: Subject) -> List[str]:
+    """Validate shared inputs and ports; returns the ports to compare.
+
+    The input sets must be equal and every golden port must exist in the
+    candidate.  A network candidate must have exactly the golden ports: a
+    network pass may not add or drop an output.
+    """
+    if set(golden.inputs) != set(candidate.inputs):
+        raise VerificationError(
+            "input sets differ: %s vs %s"
+            % (sorted(golden.inputs), sorted(candidate.inputs))
+        )
+    if isinstance(candidate, BooleanNetwork):
+        if set(golden.outputs) != set(candidate.outputs):
+            raise VerificationError(
+                "output port sets differ: %s vs %s"
+                % (sorted(golden.outputs), sorted(candidate.outputs))
+            )
+    else:
+        missing = set(golden.outputs) - set(candidate.outputs)
+        if missing:
+            raise VerificationError("missing output ports: %s" % sorted(missing))
+    return sorted(golden.outputs)
+
+
+def output_words(
+    subject: Subject, words: Dict[str, int], width: int
+) -> Dict[str, int]:
+    """Bit-parallel output-port words of either subject kind."""
+    if isinstance(subject, LUTCircuit):
+        values = subject.simulate(words, width)
+        return {port: values[wire] for port, wire in subject.outputs.items()}
+    mask = (1 << width) - 1
+    values = simulate(subject, words, width)
+    out: Dict[str, int] = {}
+    for port, sig in subject.outputs.items():
+        word = values[sig.name]
+        out[port] = (~word & mask) if sig.inv else word
+    return out
+
+
 def _format_vector(vector: Dict[str, int]) -> str:
     return " ".join("%s=%d" % (name, vector[name]) for name in sorted(vector))
 
@@ -109,113 +162,33 @@ def _sampled_result(width: int) -> VerifyResult:
 
 
 def verify_equivalence(
-    network: BooleanNetwork,
-    circuit: LUTCircuit,
+    golden: Subject,
+    candidate: Subject,
     vectors: int = 4096,
-    exhaustive_limit: int = 14,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
     seed: int = 2026,
     method: str = "sim",
 ) -> VerifyResult:
-    """Check every output port matches; returns the vectors covered.
+    """Check every golden output port matches; returns the vectors covered.
 
-    Raises :class:`VerificationError` on the first mismatching port.
-    With ``method="sat"`` (always) or ``"auto"`` (above
-    ``exhaustive_limit`` inputs) the check is a formal proof from the
-    miter engine; ``"sim"`` preserves the historical
+    Raises :class:`VerificationError` on a mismatching port (the first
+    in sorted port order) or on an interface mismatch (see
+    :func:`check_interfaces`).  With ``method="sat"`` (always) or
+    ``"auto"`` (above ``exhaustive_limit`` inputs) the check is a formal
+    proof from the miter engine; ``"sim"`` preserves the historical
     exhaustive-or-random simulation and flags random runs as sampled.
     """
     _check_method(method)
-    with span("verify.equivalence", network=network.name) as sp:
-        inputs = network.inputs
-        if set(circuit.inputs) != set(inputs):
-            raise VerificationError(
-                "input sets differ: %s vs %s"
-                % (sorted(inputs), sorted(circuit.inputs))
-            )
-        if set(network.outputs) - set(circuit.outputs):
-            raise VerificationError(
-                "missing output ports: %s"
-                % sorted(set(network.outputs) - set(circuit.outputs))
-            )
+    with span("verify.equivalence", network=golden.name) as sp:
+        ports = check_interfaces(golden, candidate)
+        inputs = golden.inputs
         metrics.count("verify.runs")
 
         if method == "sat" or (
             method == "auto" and len(inputs) > exhaustive_limit
         ):
-            result = _sat_verify(network, circuit, sp)
-            metrics.count("verify.ports_checked", len(network.outputs))
-            return result
-
-        if len(inputs) <= exhaustive_limit:
-            words: Dict[str, int] = exhaustive_input_words(inputs)
-            width = 1 << len(inputs)
-            sp.set("mode", "exhaustive")
-            sampled = False
-        else:
-            rng = random.Random(seed)
-            width = vectors
-            words = {name: rng.getrandbits(width) for name in inputs}
-            sp.set("mode", "random")
-            sp.set("sampled", True)
-            sampled = True
-        sp.set("vectors", width)
-
-        mask = (1 << width) - 1
-        net_values = simulate(network, words, width)
-        ckt_values = circuit.simulate(words, width)
-        for port, sig in network.outputs.items():
-            expected = net_values[sig.name]
-            if sig.inv:
-                expected = ~expected
-            actual = ckt_values[circuit.outputs[port]]
-            if (expected ^ actual) & mask:
-                diff = bin((expected ^ actual) & mask).count("1")
-                raise VerificationError(
-                    "output %r differs on %d of %d vectors" % (port, diff, width)
-                )
-        metrics.count("verify.vectors", width)
-        metrics.count("verify.ports_checked", len(network.outputs))
-        if sampled:
-            return _sampled_result(width)
-        return VerifyResult(width, mode="exhaustive")
-
-
-def verify_network_equivalence(
-    golden: BooleanNetwork,
-    candidate: BooleanNetwork,
-    vectors: int = 4096,
-    exhaustive_limit: int = 14,
-    seed: int = 2026,
-    method: str = "sim",
-) -> VerifyResult:
-    """Check two networks compute the same outputs; returns vectors covered.
-
-    The network-to-network counterpart of :func:`verify_equivalence`,
-    used by the flow engine's checked mode to validate network passes
-    (sweep, strash, refactor) individually.  Raises
-    :class:`VerificationError` on the first mismatching port.  The
-    ``method`` argument behaves as in :func:`verify_equivalence`.
-    """
-    _check_method(method)
-    with span("verify.network_equivalence", network=golden.name) as sp:
-        inputs = golden.inputs
-        if set(candidate.inputs) != set(inputs):
-            raise VerificationError(
-                "input sets differ: %s vs %s"
-                % (sorted(inputs), sorted(candidate.inputs))
-            )
-        if set(golden.outputs) != set(candidate.outputs):
-            raise VerificationError(
-                "output port sets differ: %s vs %s"
-                % (sorted(golden.outputs), sorted(candidate.outputs))
-            )
-        metrics.count("verify.network_runs")
-
-        if method == "sat" or (
-            method == "auto" and len(inputs) > exhaustive_limit
-        ):
             result = _sat_verify(golden, candidate, sp)
-            metrics.count("verify.ports_checked", len(golden.outputs))
+            metrics.count("verify.ports_checked", len(ports))
             return result
 
         if len(inputs) <= exhaustive_limit:
@@ -232,29 +205,17 @@ def verify_network_equivalence(
             sampled = True
         sp.set("vectors", width)
 
-        mask = (1 << width) - 1
-        golden_values = simulate(golden, words, width)
-        cand_values = simulate(candidate, words, width)
-        for port, sig in golden.outputs.items():
-            expected = golden_values[sig.name] ^ (mask if sig.inv else 0)
-            other = candidate.outputs[port]
-            actual = cand_values[other.name] ^ (mask if other.inv else 0)
-            if (expected ^ actual) & mask:
-                diff = bin((expected ^ actual) & mask).count("1")
+        expected = output_words(golden, words, width)
+        actual = output_words(candidate, words, width)
+        for port in ports:
+            diff = expected[port] ^ actual[port]
+            if diff:
                 raise VerificationError(
-                    "output %r differs on %d of %d vectors" % (port, diff, width)
+                    "output %r differs on %d of %d vectors"
+                    % (port, bin(diff).count("1"), width)
                 )
         metrics.count("verify.vectors", width)
-        metrics.count("verify.ports_checked", len(golden.outputs))
+        metrics.count("verify.ports_checked", len(ports))
         if sampled:
             return _sampled_result(width)
         return VerifyResult(width, mode="exhaustive")
-
-
-def equivalent(network: BooleanNetwork, circuit: LUTCircuit, **kwargs) -> bool:
-    """Boolean-returning convenience wrapper over :func:`verify_equivalence`."""
-    try:
-        verify_equivalence(network, circuit, **kwargs)
-    except VerificationError:
-        return False
-    return True

@@ -57,6 +57,66 @@ class TestMap:
         assert main(["map", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_cell_name_maps_the_generated_network(self, tmp_path, capsys):
+        from repro.bench.adversarial import resolve_cell
+        from repro.blif import write_lut_circuit
+        from repro.flow import resolve_mapper
+
+        out = tmp_path / "out.blif"
+        assert main(["map", "count", "-k", "4", "-o", str(out)]) == 0
+        expected = resolve_mapper("chortle", 4).map(resolve_cell("count"))
+        assert out.read_text() == write_lut_circuit(expected)
+
+    def test_factor_on_a_cell_name_rejected(self, capsys):
+        assert main(["map", "count", "--factor"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def _unreadable_input(kind, tmp_path):
+    if kind == "missing":
+        return str(tmp_path / "missing.blif")
+    if kind == "directory":
+        path = tmp_path / "dir.blif"
+        path.mkdir()
+        return str(path)
+    path = tmp_path / "latin1.blif"
+    path.write_bytes(b".model m\n# caf\xe9\n.inputs a\n.outputs a\n.end\n")
+    return str(path)
+
+
+class TestInputAndOutputErrors:
+    """Unreadable inputs and unwritable outputs are typed errors (exit 2)."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non_utf8"])
+    @pytest.mark.parametrize(
+        "command",
+        ["map", "profile", "stats", "lint", "lint --mapped", "verify", "analyze"],
+    )
+    def test_unreadable_input(self, tmp_path, capsys, command, kind):
+        path = _unreadable_input(kind, tmp_path)
+        name, *flags = command.split()
+        files = [path, path] if name == "verify" else [path]
+        assert main([name, *files, *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "{blif}", "-o", "{bad}"],
+            ["generate", "count", "-o", "{bad}"],
+            ["map", "{blif}", "-o", "{good}", "--verilog", "{bad}"],
+        ],
+        ids=["map-o", "generate-o", "map-verilog"],
+    )
+    def test_unwritable_output(self, blif_file, tmp_path, capsys, argv):
+        paths = {
+            "blif": str(blif_file),
+            "bad": str(tmp_path / "no_such_dir" / "x.out"),
+            "good": str(tmp_path / "out.blif"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestFlows:
     def test_flows_lists_registered_flows_and_passes(self, capsys):

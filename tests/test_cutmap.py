@@ -5,8 +5,8 @@ bound), the index kernel against the name-keyed kernel it replaced
 (tests/cut_reference.py), the mapper itself (validity, equivalence, knobs, perf-path
 bit-identity, provenance), the committed reconvergent fixtures where
 ``cutmap`` must strictly beat the forest-partitioned ``chortle`` mapper
-at K=2, and the cross-mapper equivalence fuzz (cutmap vs chortle vs mis
-through :func:`verify_network_equivalence`).
+at K=2, and the cross-mapper equivalence fuzz (cutmap vs chortle vs mis,
+circuit against circuit through :func:`verify_equivalence`).
 """
 
 import random
@@ -36,11 +36,10 @@ from repro.core.cuts import (
     name_ranks,
 )
 from repro.errors import MappingError
-from repro.core.substrate import circuit_to_network
 from repro.obs import metrics
 from repro.obs.explain import DecisionRecorder, validate_explanation
 from repro.perf.memo import NodeTableCache
-from repro.verify import verify_equivalence, verify_network_equivalence
+from repro.verify import verify_equivalence
 
 from tests.cut_reference import ReferenceCover, reference_enumerate
 from tests.util import make_random_network
@@ -372,28 +371,35 @@ class TestReconvergentFixtures:
 
 
 class TestCrossMapperEquivalence:
-    """Satellite: cutmap vs chortle vs mis via network-level checking."""
+    """cutmap vs chortle vs mis, mapped circuit against mapped circuit."""
 
+    @pytest.mark.parametrize("method", ["sim", "sat", "auto"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_small_networks_pairwise(self, seed):
+    def test_small_networks_pairwise(self, seed, method):
         net = make_random_network(
             100 + seed, num_inputs=7, num_gates=18 + 3 * seed
         )
-        nets = [
-            circuit_to_network(mapper.map(net))
+        circuits = [
+            mapper.map(net)
             for mapper in (CutMapper(k=4), ChortleMapper(k=4), MisMapper(k=4))
         ]
-        for mapped in nets:
-            assert verify_network_equivalence(net, mapped)
-        assert verify_network_equivalence(nets[0], nets[1])
-        assert verify_network_equivalence(nets[0], nets[2])
+        for circuit in circuits:
+            assert verify_equivalence(net, circuit, method=method)
+        assert verify_equivalence(circuits[0], circuits[1], method=method)
+        assert verify_equivalence(circuits[0], circuits[2], method=method)
 
-    def test_wide_network_uses_random_fallback(self):
+    @pytest.mark.parametrize("method", ["sim", "sat", "auto"])
+    def test_wide_network_above_exhaustive_limit(self, method):
         # xor_wide has 18 primary inputs — above the exhaustive_limit of
-        # 14 — so this exercises the random-vector simulation path.
+        # 14 — so "sim" falls back to random vectors and the others prove.
         net = reconvergent_preset("xor_wide")
         assert net.num_inputs > 14
-        cut_net = circuit_to_network(CutMapper(k=3).map(net))
-        tree_net = circuit_to_network(ChortleMapper(k=3).map(net))
-        vectors = verify_network_equivalence(cut_net, tree_net)
-        assert vectors == 4096  # random fallback, not exhaustive
+        cut = CutMapper(k=3).map(net)
+        tree = ChortleMapper(k=3).map(net)
+        vectors = verify_equivalence(cut, tree, method=method)
+        if method == "sim":
+            assert vectors == 4096  # random fallback, not exhaustive
+            assert vectors.sampled
+        else:
+            assert vectors == 1 << net.num_inputs
+            assert vectors.mode == "sat"

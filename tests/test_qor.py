@@ -299,6 +299,37 @@ class TestCli:
         assert out_path.exists()
         assert "gate PASS" in capsys.readouterr().out
 
+    def test_narrowed_gate_passes_on_its_cells(self, capsys):
+        from repro.cli import main
+
+        rc = main([
+            "qor", "gate", "benchmarks/baselines/qor_baseline.json",
+            "--mappers", "chortle", "--circuits", "count", "--ks", "4",
+        ])
+        out = capsys.readouterr().out
+        assert "MISSING" not in out
+        assert "1 of 168 baseline cells in the sweep (167 left out)" in out
+        assert rc == 0
+
+    def test_narrowed_gate_fails_on_a_covered_cell_it_cannot_produce(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = self._record(tmp_path, "a.json")
+        data = json.loads(open(path, encoding="utf-8").read())
+        data["reports"].append(dict(data["reports"][0], mapper="mis", k=6))
+        baseline = tmp_path / "with_mis_k6.json"
+        baseline.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main([
+            "qor", "gate", str(baseline),
+            "--circuits", "count", "--mappers", "chortle", "mis", "--ks", "3", "6",
+        ])
+        out = capsys.readouterr().out
+        assert "MISSING   (count, K=6, mis)" in out
+        assert rc == 1
+
     def test_report_renders_markdown(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -8,12 +8,7 @@ from repro.core.lut import LUTCircuit
 from repro.errors import VerificationError
 from repro.network.transform import strash, sweep
 from repro.obs import metrics
-from repro.verify import (
-    VerifyResult,
-    equivalent,
-    verify_equivalence,
-    verify_network_equivalence,
-)
+from repro.verify import VerifyResult, verify_equivalence
 
 
 class TestVerify:
@@ -38,7 +33,8 @@ class TestVerify:
             tampered.set_output(port, sig)
         with pytest.raises(VerificationError):
             verify_equivalence(fig1, tampered)
-        assert not equivalent(fig1, tampered)
+        with pytest.raises(VerificationError):
+            verify_equivalence(fig1, tampered, method="sat")
 
     def test_detects_missing_port(self, fig1):
         incomplete = LUTCircuit("inc")
@@ -54,7 +50,7 @@ class TestVerify:
             verify_equivalence(fig1, wrong)
 
     def test_equivalent_true_path(self, fig1):
-        assert equivalent(fig1, ChortleMapper(k=3).map(fig1))
+        assert verify_equivalence(fig1, ChortleMapper(k=3).map(fig1))
 
     def test_error_message_counts_vectors(self, fig1):
         circuit = ChortleMapper(k=4).map(fig1)
@@ -149,11 +145,23 @@ class TestVerifyNetworkMethods:
     def test_network_pair_sat_proof(self):
         net = make_random_network(8, num_inputs=6, num_gates=12)
         cleaned = strash(sweep(net))
-        result = verify_network_equivalence(net, cleaned, method="sat")
+        result = verify_equivalence(net, cleaned, method="sat")
         assert result.mode == "sat"
         assert result == 64
 
     def test_network_pair_auto_below_limit(self):
         net = make_random_network(8, num_inputs=6, num_gates=12)
-        result = verify_network_equivalence(net, sweep(net), method="auto")
+        result = verify_equivalence(net, sweep(net), method="auto")
         assert result.mode == "exhaustive"
+
+    @pytest.mark.parametrize("method", ["sim", "sat"])
+    @pytest.mark.parametrize("extra_in", ["candidate", "golden"])
+    def test_network_candidate_needs_the_same_ports(self, extra_in, method):
+        # A circuit candidate may carry extra ports; a network candidate
+        # may neither add a port to the golden network nor drop one.
+        net = make_random_network(8, num_inputs=6, num_gates=12)
+        wider = net.copy()
+        wider.set_output("extra", net.inputs[0])
+        golden, candidate = (net, wider) if extra_in == "candidate" else (wider, net)
+        with pytest.raises(VerificationError, match="output port sets differ"):
+            verify_equivalence(golden, candidate, method=method)
