@@ -585,19 +585,22 @@ def _verify_pair(golden, candidate, method: str) -> dict:
     from repro.verify import EXHAUSTIVE_LIMIT
 
     num_inputs = len(golden.inputs)
-    if method == "sat" or (method == "auto" and num_inputs > EXHAUSTIVE_LIMIT):
-        from repro.sat.miter import check_equivalence
-
-        result = check_equivalence(golden, candidate)
-        verdict = result.to_dict()
-        verdict.update(inputs=num_inputs, proved=True, sampled=False)
-        return verdict
+    prove = method == "sat" or (
+        method == "auto" and num_inputs > EXHAUSTIVE_LIMIT
+    )
     try:
+        if prove:
+            from repro.sat.miter import check_equivalence
+
+            verdict = check_equivalence(golden, candidate).to_dict()
+            verdict.update(inputs=num_inputs, proved=True, sampled=False)
+            return verdict
         covered = verify_equivalence(golden, candidate, method="sim")
     except VerificationError as exc:
+        # A simulated mismatch, or an interface mismatch under any method.
         return {
             "equivalent": False,
-            "method": "sim",
+            "method": "sat" if prove else "sim",
             "inputs": num_inputs,
             "detail": str(exc),
         }

@@ -455,6 +455,23 @@ class TestVerifySubcommand:
         assert "NOT equivalent" in captured.out
         assert "counterexample" in captured.err
 
+    @pytest.mark.parametrize("method", ["sim", "sat", "auto"])
+    def test_port_set_mismatch_is_not_equivalent(self, tmp_path, capsys,
+                                                 method):
+        a = tmp_path / "a.blif"
+        b = tmp_path / "b.blif"
+        a.write_text(
+            ".model m\n.inputs x y\n.outputs z\n.names x y z\n11 1\n.end\n"
+        )
+        b.write_text(
+            ".model m\n.inputs x y\n.outputs z w\n.names x y z\n11 1\n"
+            ".names x w\n1 1\n.end\n"
+        )
+        assert main(["verify", str(a), str(b), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert "NOT equivalent" in captured.out
+        assert "output port sets differ" in captured.err
+
     def test_cell_mapper_form(self, capsys):
         assert main(["verify", "--cell", "adv_xor_chain",
                      "--mapper", "cutmap", "--method", "sat"]) == 0
